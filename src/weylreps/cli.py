@@ -64,6 +64,10 @@ def _grid_from_arg(text: str) -> list[Fraction]:
     return grid
 
 
+def _complex_record(value: complex) -> dict:
+    return {"re": value.real, "im": value.imag}
+
+
 def _cmd_product(args) -> int:
     left = _load_element(args.left)
     right = _load_element(args.right)
@@ -76,7 +80,7 @@ def _cmd_eval_state(args) -> int:
     state = _state_from_arg(args.state)
     element = _load_element(args.element)
     value = state(element)
-    json.dump({"re": value.real, "im": value.imag}, sys.stdout)
+    json.dump(_complex_record(value), sys.stdout)
     sys.stdout.write("\n")
     return 0
 
@@ -93,13 +97,7 @@ def _cmd_gns_build(args) -> int:
 
     omega = gns.cyclic_vector(state)
     vectors = [gns.gns_apply(word, omega) for word in words]
-    gram = [
-        [
-            {"re": gns.gns_inner(u, v).real, "im": gns.gns_inner(u, v).imag}
-            for v in vectors
-        ]
-        for u in vectors
-    ]
+    gram = [[_complex_record(gns.gns_inner(u, v)) for v in vectors] for u in vectors]
     out = {
         "state": serialize.state_to_record(state),
         "norms": [gns.gns_norm(v) for v in vectors],
@@ -218,10 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import RationalLike, WeylElement, as_fraction
+from .algebra import RationalLike, WeylElement, as_fraction, phase
 from .reps import MOMENTUM, POSITION
 
 VACUUM = "vacuum"
@@ -92,17 +92,39 @@ def vacuum_state() -> StateFunctional:
 def gram_matrix(
     state: StateFunctional, basis: Sequence[WeylElement]
 ) -> np.ndarray:
-    """Matrix of state(x_i* x_j); Hermitian up to coefficient roundoff."""
+    """Matrix of state(x_i* x_j); Hermitian up to coefficient roundoff.
+
+    Computed as ``C^H K C`` over the L distinct generators s = (a_s, b_s)
+    of the basis: C is the L x n coefficient matrix and K the generator
+    kernel ``K[s, t] = state(W(s)* W(t))``.  From the adjoint rule and the
+    product rule,
+
+        W(s)* W(t) = exp(i (a_s - a_t) b_s) W(t - s)
+
+    so each kernel entry is one phase times one generator value.  Only the
+    upper triangle is evaluated; the lower is its conjugate.  The phase is
+    taken only where the generator value is nonzero, so a sharp state's
+    zeros are decided exactly on the rational labels, and cells between
+    words it cannot connect come out exactly 0.
+    """
     basis = list(basis)
     if not basis:
         raise ValueError("basis must be non-empty")
-    adjoints = [x.adjoint() for x in basis]
-    n = len(basis)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = state(adjoints[i] * basis[j])
-    return g
+    labels = sorted({index for x in basis for index in x.terms})
+    slot = {label: k for k, label in enumerate(labels)}
+    coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
+    for j, x in enumerate(basis):
+        for index, c in x.terms.items():
+            coeffs[slot[index], j] = c
+    kernel = np.zeros((len(labels), len(labels)), dtype=complex)
+    for s, (a_s, b_s) in enumerate(labels):
+        for t in range(s, len(labels)):
+            a_t, b_t = labels[t]
+            value = state.generator_value(a_t - a_s, b_t - b_s)
+            if value:
+                kernel[s, t] = phase((a_s - a_t) * b_s) * value
+                kernel[t, s] = kernel[s, t].conjugate()
+    return coeffs.conj().T @ kernel @ coeffs
 
 
 def check_positivity(state: StateFunctional, basis: Sequence[WeylElement]) -> float:

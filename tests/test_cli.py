@@ -1,8 +1,13 @@
 import cmath
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylreps
 from weylreps.cli import main
 
 
@@ -62,6 +67,21 @@ def test_eval_state(capsys, u1_file):
 
 def test_eval_state_unknown_kind_exits_2(capsys, u1_file):
     assert main(["eval-state", "--state", "thermal:1", u1_file]) == 2
+
+
+def test_eval_state_oversized_rational_exits_2(tmp_path):
+    element = write_json(
+        tmp_path / "u.json", [{"a": "1/3", "b": "0", "re": 1.0, "im": 0.0}]
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylreps.cli", "eval-state",
+         "--state", "position:1" + "0" * 400, element],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_continuity_scan_position(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import rand_fraction
+from helpers import rand_coeff, rand_fraction
 from weylreps import (
     StateFunctional,
+    WeylElement,
+    WeylIndex,
     characteristic_function,
     check_positivity,
     gaussian_ground_state,
@@ -104,6 +107,70 @@ def test_gram_matrices_hermitian():
         ]
         g = gram_matrix(state, basis)
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
+
+
+SHARP_AND_VACUUM = (
+    position_state(Fraction(7, 3)),
+    momentum_state(Fraction(-5, 2)),
+    vacuum_state(),
+)
+
+
+def alphabet_basis(rng, n_words, max_terms=4):
+    """Seeded words over one 4x4 alphabet of labels with |a|, |b| <= 10."""
+    a_vals, b_vals = set(), set()
+    while len(a_vals) < 4:
+        a_vals.add(rand_fraction(rng))
+    while len(b_vals) < 4:
+        b_vals.add(rand_fraction(rng))
+    alphabet = [(a, b) for a in sorted(a_vals) for b in sorted(b_vals)]
+    return [
+        WeylElement(
+            {
+                WeylIndex(a, b): rand_coeff(rng)
+                for a, b in rng.sample(alphabet, rng.randint(1, max_terms))
+            }
+        )
+        for _ in range(n_words)
+    ]
+
+
+def test_gram_matrix_matches_pairwise_products():
+    for seed in range(6):
+        rng = random.Random(seed)
+        for state in SHARP_AND_VACUUM:
+            basis = alphabet_basis(rng, 12)
+            g = gram_matrix(state, basis)
+            pairwise = np.array(
+                [[state(x.adjoint() * y) for y in basis] for x in basis]
+            )
+            assert np.max(np.abs(g - pairwise)) <= 1e-12
+
+
+def test_gram_matrix_sharp_zeros_are_exact():
+    # a sharp state kills W(t - s) unless its broken label agrees, so words
+    # with disjoint supports in that label have an exactly zero cell
+    for state, label in ((SHARP_AND_VACUUM[0], "b"), (SHARP_AND_VACUUM[1], "a")):
+        disjoint = 0
+        for seed in range(6):
+            basis = alphabet_basis(random.Random(seed), 16, max_terms=2)
+            g = gram_matrix(state, basis)
+            supports = [{getattr(i, label) for i in x.terms} for x in basis]
+            for i, j in itertools.product(range(len(basis)), repeat=2):
+                if supports[i].isdisjoint(supports[j]):
+                    disjoint += 1
+                    assert g[i, j] == 0
+        assert disjoint > 0
+
+
+def test_gram_matrix_zero_element_gives_zero_row_and_column():
+    rng = random.Random(3)
+    for state in SHARP_AND_VACUUM:
+        basis = alphabet_basis(rng, 5)
+        basis.insert(2, zero())
+        g = gram_matrix(state, basis)
+        assert np.all(g[2, :] == 0) and np.all(g[:, 2] == 0)
+    assert np.all(gram_matrix(vacuum_state(), [zero(), zero()]) == 0)
 
 
 def test_check_positivity_trivial():
