@@ -62,17 +62,6 @@ from .reps import (
     v_direction_matrix_element,
     weyl_relation_check,
 )
-from .schrodinger import (
-    GridWavefunction,
-    characteristic_function,
-    dispersion_product,
-    gaussian_ground_state,
-    gaussian_packet,
-    mean_quadrature,
-    point_mass_probe,
-    superpose,
-    truncation_bound,
-)
 from .states import (
     VACUUM,
     EigensolverError,
@@ -153,3 +142,31 @@ __all__ = [
     "position_state",
     "vacuum_state",
 ]
+
+# The grid oracle is the only module that imports numpy at load time, so
+# its names are resolved on first access (PEP 562): the exact layers, and
+# the command line for every subcommand that does not use the oracle,
+# start without numpy.
+_SCHRODINGER_NAMES = frozenset({
+    "GridWavefunction",
+    "characteristic_function",
+    "dispersion_product",
+    "gaussian_ground_state",
+    "gaussian_packet",
+    "mean_quadrature",
+    "point_mass_probe",
+    "superpose",
+    "truncation_bound",
+})
+
+
+def __getattr__(name: str):
+    if name in _SCHRODINGER_NAMES:
+        from . import schrodinger
+
+        return getattr(schrodinger, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SCHRODINGER_NAMES)

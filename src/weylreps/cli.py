@@ -5,6 +5,11 @@ Subcommands: ``product``, ``eval-state``, ``gns-build``, ``continuity-scan``,
 failed, 2 usage or parse error.  The environment variable ``WEYLREPS_SEED``
 overrides ``--seed`` wherever randomness is involved, and the effective seed
 is always printed so failures reproduce exactly.
+
+Only ``mean`` and ``verify`` compute with numpy, through the grid oracle
+and the Gram eigensolver; they import it when they run.  The exact
+subcommands start without it, which keeps a short request's process
+start cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import gns, schrodinger, serialize
+from . import gns, serialize
 from .algebra import as_fraction
 from .reps import MOMENTUM, POSITION
 from .verify import SUITE_NAMES, run_suites
@@ -126,6 +131,8 @@ def _cmd_continuity_scan(args) -> int:
 
 
 def _cmd_mean(args) -> int:
+    from . import schrodinger
+
     records = _load_json(args.polynomial)
     if not isinstance(records, list):
         raise InputError(f"{args.polynomial}: expected a list of coefficient records")

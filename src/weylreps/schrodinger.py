@@ -25,6 +25,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 DEFAULT_X_MIN = -12.0
 DEFAULT_X_MAX = 12.0
 DEFAULT_COUNT = 2**14
+MAX_QUADRATURE_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -185,12 +186,22 @@ def mean_quadrature(
     For a polynomial with nonzero frequencies a_j the result differs from
     the exact mean by at most sum_j 2|c_j|/(|a_j| N) plus the quadrature
     error, which is O(|a_j| step**2) per unit coefficient on the uniform
-    grid used here.
+    grid used here.  N must be finite and the grid at most
+    ``MAX_QUADRATURE_POINTS`` points; both are checked before any array is
+    allocated.
     """
     n = float(n)
+    if not math.isfinite(n):
+        raise ValueError(f"averaging length must be finite, got {n}")
     if n < 1.0:
         raise ValueError("averaging length must be at least 1")
-    count = int(2 * n * points_per_unit) + 1
+    span = 2.0 * n * points_per_unit
+    if span >= MAX_QUADRATURE_POINTS:
+        raise ValueError(
+            f"averaging length {n:g} at {points_per_unit} points per unit "
+            f"needs a grid larger than the limit of {MAX_QUADRATURE_POINTS} points"
+        )
+    count = int(span) + 1
     xs = np.linspace(-n, n, count)
     total = np.zeros(count, dtype=complex)
     for freq, coeff in f.coefficients.items():

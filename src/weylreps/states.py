@@ -21,12 +21,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import RationalLike, WeylElement, as_fraction, phase
 from .reps import MOMENTUM, POSITION
+
+# numpy is imported inside the two functions that compute with it, so
+# evaluating a state does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 VACUUM = "vacuum"
 KINDS = (POSITION, MOMENTUM, VACUUM)
@@ -107,6 +110,8 @@ def gram_matrix(
     zeros are decided exactly on the rational labels, and cells between
     words it cannot connect come out exactly 0.
     """
+    import numpy as np
+
     basis = list(basis)
     if not basis:
         raise ValueError("basis must be non-empty")
@@ -133,6 +138,8 @@ def check_positivity(state: StateFunctional, basis: Sequence[WeylElement]) -> fl
     Raises :class:`EigensolverError` if the eigensolver fails, so a broken
     iteration is never reported as a negative eigenvalue.
     """
+    import numpy as np
+
     basis = list(basis)
     if not basis:
         raise ValueError("basis must be non-empty")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import almost_periodic as ap
-from . import gns, reps, schrodinger, states
+from . import gns, reps, states
 from .algebra import WeylElement, WeylIndex, generator, identity, phase
 
 
@@ -313,6 +313,8 @@ def _gns_suite(rng: random.Random) -> list[CheckResult]:
 
 
 def _ap_suite(rng: random.Random) -> list[CheckResult]:
+    from . import schrodinger
+
     results = []
 
     dev = 0.0
@@ -396,6 +398,8 @@ def _ap_suite(rng: random.Random) -> list[CheckResult]:
 
 
 def _oracle_suite(rng: random.Random) -> list[CheckResult]:
+    from . import schrodinger
+
     results = []
     psi0 = schrodinger.gaussian_ground_state()
 

@@ -69,15 +69,29 @@ def test_eval_state_unknown_kind_exits_2(capsys, u1_file):
     assert main(["eval-state", "--state", "thermal:1", u1_file]) == 2
 
 
+def run_fresh(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
+
+
+def imported_modules(stderr: str) -> list[str]:
+    """Module names from the ``-X importtime`` report in ``stderr``."""
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and "imported package" not in line
+    ]
+
+
 def test_eval_state_oversized_rational_exits_2(tmp_path):
     element = write_json(
         tmp_path / "u.json", [{"a": "1/3", "b": "0", "re": 1.0, "im": 0.0}]
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "weylreps.cli", "eval-state",
-         "--state", "position:1" + "0" * 400, element],
-        capture_output=True, text=True, env=env, check=False,
+    proc = run_fresh(
+        "-m", "weylreps.cli", "eval-state", "--state", "position:1" + "0" * 400, element
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
@@ -181,3 +195,61 @@ def test_verify_rejects_bad_env_seed(capsys, monkeypatch):
 
 def test_missing_file_exits_2(capsys):
     assert main(["product", "/nonexistent/a.json", "/nonexistent/b.json"]) == 2
+
+
+@pytest.fixture()
+def poly_file(tmp_path):
+    return write_json(
+        tmp_path / "poly.json",
+        [{"freq": "0", "re": 2.0, "im": 0.0}, {"freq": "1/2", "re": 5.0, "im": 0.0}],
+    )
+
+
+@pytest.mark.parametrize("n", ["1e13", "nan", "inf"])
+def test_mean_oversized_or_non_finite_n_exits_2(poly_file, n):
+    proc = run_fresh("-m", "weylreps.cli", "mean", poly_file, "--quadrature-n", n)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = run_fresh(
+        "-c",
+        "import sys, weylreps.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_exact_subcommands_start_without_numpy(tmp_path, u1_file, v1_file):
+    words = write_json(tmp_path / "words.json", [[{"a": "1", "b": "2", "re": 1.0, "im": 0.0}]])
+    requests = [
+        (["product", u1_file, v1_file], 0),
+        (["eval-state", "--state", "vacuum", u1_file], 0),
+        (["gns-build", "--state", "momentum:1/2", words], 0),
+        (["continuity-scan", "--state", "position:0", "--direction", "V",
+          "--grid", "0,1/8,1/64"], 0),
+        (["eval-state", "--state", "thermal:1", u1_file], 2),
+    ]
+    for argv, code in requests:
+        proc = run_fresh("-X", "importtime", "-m", "weylreps.cli", *argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        modules = imported_modules(proc.stderr)
+        assert "weylreps.gns" in modules
+        assert [m for m in modules if m.startswith("numpy")] == [], argv
+        if code == 2:
+            errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+            assert len(errors) == 1 and "Traceback" not in proc.stderr
+
+
+def test_mean_loads_numpy_and_prints_the_in_process_result(capsys, poly_file):
+    assert main(["mean", poly_file]) == 0
+    expected = capsys.readouterr().out
+    proc = run_fresh("-X", "importtime", "-m", "weylreps.cli", "mean", poly_file)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert "numpy" in imported_modules(proc.stderr)

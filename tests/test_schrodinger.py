@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weylreps import schrodinger
 from weylreps import (
     characteristic_function,
     constant,
@@ -138,3 +139,23 @@ def test_mean_quadrature_two_terms():
 def test_mean_quadrature_validates_n():
     with pytest.raises(ValueError):
         mean_quadrature(constant(1), 0.5)
+
+
+@pytest.mark.parametrize(
+    "n, points_per_unit, message",
+    [
+        (float("nan"), 128, "finite"),
+        (float("inf"), 128, "finite"),
+        (1e13, 128, "limit of 4194304 points"),
+        (1e6, 128, "limit of 4194304 points"),
+        (1e308, 128, "limit of 4194304 points"),  # 2 N points_per_unit overflows
+        (2.0**21, 1, "limit of 4194304 points"),  # 2**22 + 1 points, one too many
+    ],
+)
+def test_mean_quadrature_rejects_bad_n_before_allocating(
+    monkeypatch, n, points_per_unit, message
+):
+    # Without numpy any allocation fails with AttributeError, not ValueError.
+    monkeypatch.setattr(schrodinger, "np", None)
+    with pytest.raises(ValueError, match=message):
+        mean_quadrature(constant(1), n, points_per_unit)
