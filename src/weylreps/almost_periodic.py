@@ -26,10 +26,6 @@ from typing import Iterable, Mapping, Sequence, Tuple, Union
 from .algebra import PRUNE_TOL, RationalLike, as_fraction, phase
 from .reps import v_direction_matrix_element
 
-#: sample points used for the certified lower sup-norm bound
-_SUP_SAMPLES = tuple(Fraction(k, 16) for k in range(1024))
-
-
 class TrigPolynomial:
     """Finite complex combination of characters exp(i a x), a rational."""
 
@@ -134,11 +130,32 @@ class TrigPolynomial:
     def sup_norm_bounds(self) -> Tuple[float, float]:
         """(lower, upper) certified bracket for the sup norm.
 
-        Upper is the coefficient l1 sum; lower is the max modulus over a
-        fixed 1024-point rational sample, so lower <= sup <= upper always.
+        Upper is the coefficient l1 sum.  Lower is the max modulus over the
+        fixed 1024-point sample k/16, k = 0..1023, computed in one numpy
+        pass over the angles theta_kj = (k/16) float(a_j), minus the
+        float-error bound
+
+            sum_j |c_j| (4 max_k |theta_kj| + 2 terms + 8) 2**-53
+
+        and clamped at 0.  The angle term covers the rounding of a_j and of
+        the product (at most 2 |theta| 2**-53 each); the rest covers exp,
+        the coefficient product, the sum over the terms and the modulus.
+        So lower <= sup <= upper at every label scale; once the angle term
+        reaches the l1 sum, lower is 0.
         """
         upper = self.l1_bound()
-        lower = max(abs(self.evaluate_at(x)) for x in _SUP_SAMPLES)
+        if not self._coeffs:
+            return 0.0, upper
+        import numpy as np
+
+        coeffs = np.array(list(self._coeffs.values()))
+        theta = np.outer(
+            np.arange(1024) / 16.0, [float(f) for f in self._coeffs]
+        )
+        values = (np.exp(1j * theta) * coeffs).sum(axis=1)
+        slack = 4.0 * np.abs(theta[-1]) + 2 * len(coeffs) + 8
+        error = float((np.abs(coeffs) * slack).sum()) * 2.0**-53
+        lower = max(float(np.abs(values).max()) - error, 0.0)
         return lower, upper
 
     def __repr__(self) -> str:

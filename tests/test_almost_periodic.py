@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from helpers import fractions_st, rand_fraction, rand_trig
+from helpers import fractions_st, rand_coeff, rand_fraction, rand_trig
 from weylreps import (
     TrigPolynomial,
     constant,
@@ -137,6 +137,61 @@ def test_sup_norm_bounds_bracket():
         low2, high2 = (f.conjugate() * f).sup_norm_bounds()
         assert low**2 <= high2 + 1e-9
         assert low2 <= high**2 + 1e-9
+
+
+def _scaled_trig(rng: random.Random, scale: int, n_terms: int = 4) -> TrigPolynomial:
+    """Random polynomial with frequencies p/q, |p/q| <= scale, q <= 12."""
+    coeffs = {}
+    while len(coeffs) < n_terms:
+        coeffs[rand_fraction(rng, scale, 12)] = rand_coeff(rng)
+    return TrigPolynomial(coeffs)
+
+
+def _stated_sup_error(f: TrigPolynomial) -> float:
+    """The float-error bound of the sup_norm_bounds docstring."""
+    terms = len(f)
+    return math.fsum(
+        abs(c) * (4 * abs(float(a)) * 1023 / 16 + 2 * terms + 8) * 2.0**-53
+        for a, c in f.coefficients.items()
+    )
+
+
+@pytest.mark.parametrize("scale", [10, 10**4, 10**8])
+def test_sup_norm_lower_matches_pointwise_loop(scale):
+    rng = random.Random(61 + scale)
+    for _ in range(5):
+        f = _scaled_trig(rng, scale)
+        loop = max(abs(f.evaluate_at(Fraction(k, 16))) for k in range(1024))
+        low, high = f.sup_norm_bounds()
+        error = _stated_sup_error(f)
+        assert high == f.l1_bound()
+        # raw sample max within the bound of the loop; lower subtracts it
+        assert 0.0 <= loop - low <= 2 * error
+
+
+def test_sup_norm_bounds_zero_polynomial():
+    assert TrigPolynomial().sup_norm_bounds() == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("scale", [10, 10**4, 10**8, 10**15])
+def test_sup_norm_lower_certified_at_60_digits(scale):
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 60
+    rng = random.Random(67 + scale)
+    for _ in range(3):
+        f = _scaled_trig(rng, scale, n_terms=3)
+        terms = [
+            (ctx.mpc(c.real, c.imag), a.numerator, a.denominator)
+            for a, c in f.coefficients.items()
+        ]
+        # angle p k / (16 q) as an exact integer ratio, reduced at 60 digits
+        sample_max = max(
+            abs(ctx.fsum(c * ctx.expj(ctx.mpf(p * k) / (16 * q)) for c, p, q in terms))
+            for k in range(1024)
+        )
+        low, _ = f.sup_norm_bounds()
+        assert ctx.mpf(low) <= sample_max
 
 
 def test_haar_fourier_coefficients():

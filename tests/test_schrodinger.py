@@ -1,12 +1,15 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from helpers import rand_coeff, rand_fraction
 from weylreps import schrodinger
 from weylreps import (
+    TrigPolynomial,
     characteristic_function,
     constant,
     dispersion_product,
@@ -159,3 +162,48 @@ def test_mean_quadrature_rejects_bad_n_before_allocating(
     monkeypatch.setattr(schrodinger, "np", None)
     with pytest.raises(ValueError, match=message):
         mean_quadrature(constant(1), n, points_per_unit)
+
+
+@pytest.mark.parametrize("points_per_unit", [0, 0.001, -5, 16.0, True, "128"])
+def test_mean_quadrature_rejects_bad_points_per_unit(monkeypatch, points_per_unit):
+    monkeypatch.setattr(schrodinger, "np", None)
+    with pytest.raises(ValueError, match="points per unit"):
+        mean_quadrature(constant(1), 10.0, points_per_unit)
+
+
+def _grid_mean(f, n, points_per_unit):
+    """Reference: the trapezoid rule on the explicit grid of m + 1 points."""
+    count = int(2.0 * n * points_per_unit) + 1
+    xs = np.linspace(-n, n, count)
+    total = np.zeros(count, dtype=complex)
+    for freq, coeff in f.coefficients.items():
+        total += coeff * np.exp(1j * float(freq) * xs)
+    return complex(np.trapezoid(total, dx=xs[1] - xs[0]) / (2.0 * n))
+
+
+@pytest.mark.parametrize("points_per_unit", [1, 16, 128])
+@pytest.mark.parametrize("n", [1.0, 3.7, 1000.0, 10000.0])
+def test_mean_quadrature_closed_form_equals_grid_sum(n, points_per_unit):
+    rng = random.Random(71)
+    for _ in range(3):
+        f = TrigPolynomial(
+            {rand_fraction(rng, 64, 12): rand_coeff(rng) for _ in range(5)}
+        )
+        gap = abs(mean_quadrature(f, n, points_per_unit)
+                  - _grid_mean(f, n, points_per_unit))
+        assert gap <= 1e-12 * f.l1_bound()
+
+
+ALIAS = Fraction(round(2 * math.pi * 128 * 10**9), 10**9)  # within 1e-9 of 2 pi 128
+
+
+@pytest.mark.parametrize("points_per_unit", [1, 16, 128])
+@pytest.mark.parametrize("n", [1.0, 3.7, 1000.0, 10000.0])
+@pytest.mark.parametrize("freq", [Fraction(0), Fraction(1, 10**9), ALIAS])
+def test_mean_quadrature_closed_form_at_zero_tiny_and_aliased(
+    freq, n, points_per_unit
+):
+    f = TrigPolynomial({freq: 1.0})
+    gap = abs(mean_quadrature(f, n, points_per_unit)
+              - _grid_mean(f, n, points_per_unit))
+    assert gap <= 1e-9
