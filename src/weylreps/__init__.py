@@ -30,7 +30,6 @@ from .gns import (
     EigenvectorWitness,
     GnsVector,
     OwnerMismatchError,
-    ReducedVector,
     continuity_scan,
     cyclic_vector,
     eigenvector_witness,
@@ -95,7 +94,6 @@ __all__ = [
     "EigenvectorWitness",
     "GnsVector",
     "OwnerMismatchError",
-    "ReducedVector",
     "continuity_scan",
     "cyclic_vector",
     "eigenvector_witness",

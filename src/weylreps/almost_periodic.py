@@ -17,115 +17,66 @@ real momentum value coexists with a point position".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple
 
-from .algebra import PRUNE_TOL, RationalLike, as_fraction, phase
+from .algebra import RationalLike, SparseMap, as_fraction, phase
 from .reps import v_direction_matrix_element
 
-class TrigPolynomial:
-    """Finite complex combination of characters exp(i a x), a rational."""
 
-    __slots__ = ("_coeffs",)
+class TrigPolynomial(SparseMap):
+    """Finite complex combination of characters exp(i a x), a rational.
 
-    def __init__(self, coefficients: Union[Mapping, Iterable[Tuple], None] = None):
-        clean: dict[Fraction, complex] = {}
-        if coefficients is not None:
-            items = (
-                coefficients.items()
-                if isinstance(coefficients, Mapping)
-                else coefficients
-            )
-            for key, coeff in items:
-                c = complex(coeff)
-                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise ValueError(f"non-finite coefficient at {key}: {coeff!r}")
-                freq = as_fraction(key)
-                merged = clean.get(freq, 0j) + c
-                if abs(merged) <= PRUNE_TOL:
-                    clean.pop(freq, None)
-                else:
-                    clean[freq] = merged
-        self._coeffs = clean
+    A number added to or subtracted from a polynomial acts as a constant.
+    """
+
+    __slots__ = ()
 
     @property
     def coefficients(self) -> Mapping[Fraction, complex]:
-        return MappingProxyType(self._coeffs)
+        return MappingProxyType(self._data)
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrigPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    __hash__ = None
-
-    def __add__(self, other) -> "TrigPolynomial":
-        if isinstance(other, TrigPolynomial):
-            out = dict(self._coeffs)
-            for freq, c in other._coeffs.items():
-                out[freq] = out.get(freq, 0j) + c
-            return TrigPolynomial(out)
+    def __add__(self, other):
         if isinstance(other, (int, float, complex)):
-            return self + constant(other)
-        return NotImplemented
+            other = constant(other)
+        return SparseMap.__add__(self, other)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "TrigPolynomial":
-        return self + (-1) * other if isinstance(other, TrigPolynomial) else self + (-other)
+    def __sub__(self, other):
+        return self + (-other)
 
-    def __neg__(self) -> "TrigPolynomial":
-        return TrigPolynomial({f: -c for f, c in self._coeffs.items()})
-
-    def __mul__(self, other) -> "TrigPolynomial":
-        if isinstance(other, TrigPolynomial):
-            out: dict[Fraction, complex] = {}
-            for f1, c1 in self._coeffs.items():
-                for f2, c2 in other._coeffs.items():
-                    freq = f1 + f2
-                    out[freq] = out.get(freq, 0j) + c1 * c2
-            return TrigPolynomial(out)
-        if isinstance(other, (int, float, complex)):
-            return TrigPolynomial({f: c * other for f, c in self._coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other):
+        if not isinstance(other, TrigPolynomial):
+            return SparseMap.__mul__(self, other)
+        out: dict[Fraction, complex] = {}
+        for f1, c1 in self._data.items():
+            for f2, c2 in other._data.items():
+                freq = f1 + f2
+                out[freq] = out.get(freq, 0j) + c1 * c2
+        return TrigPolynomial(out)
 
     def conjugate(self) -> "TrigPolynomial":
         """Star operation: frequencies flip sign, coefficients conjugate."""
-        return TrigPolynomial({-f: c.conjugate() for f, c in self._coeffs.items()})
+        return TrigPolynomial({-f: c.conjugate() for f, c in self._data.items()})
 
     def translate(self, t: RationalLike) -> "TrigPolynomial":
         """f(. + t): each coefficient picks up the phase exp(i a t)."""
         t = as_fraction(t)
         return TrigPolynomial(
-            {f: c * phase(f * t) for f, c in self._coeffs.items()}
+            {f: c * phase(f * t) for f, c in self._data.items()}
         )
 
     def evaluate_at(self, x: RationalLike) -> complex:
         """Pointwise value; a multiplicative functional on the algebra."""
         x = as_fraction(x)
-        return sum((c * phase(f * x) for f, c in self._coeffs.items()), 0j)
+        return sum((c * phase(f * x) for f, c in self._data.items()), 0j)
 
     def invariant_mean(self) -> complex:
         """The frequency-0 coefficient: exact value of the symmetric-average limit."""
-        return self._coeffs.get(Fraction(0), 0j)
-
-    def l1_bound(self) -> float:
-        return math.fsum(abs(c) for c in self._coeffs.values())
-
-    def max_coeff(self) -> float:
-        """Largest coefficient modulus (0 for the zero polynomial)."""
-        return max((abs(c) for c in self._coeffs.values()), default=0.0)
+        return self._data.get(Fraction(0), 0j)
 
     def sup_norm_bounds(self) -> Tuple[float, float]:
         """(lower, upper) certified bracket for the sup norm.
@@ -144,29 +95,19 @@ class TrigPolynomial:
         reaches the l1 sum, lower is 0.
         """
         upper = self.l1_bound()
-        if not self._coeffs:
+        if not self._data:
             return 0.0, upper
         import numpy as np
 
-        coeffs = np.array(list(self._coeffs.values()))
+        coeffs = np.array(list(self._data.values()))
         theta = np.outer(
-            np.arange(1024) / 16.0, [float(f) for f in self._coeffs]
+            np.arange(1024) / 16.0, [float(f) for f in self._data]
         )
         values = (np.exp(1j * theta) * coeffs).sum(axis=1)
         slack = 4.0 * np.abs(theta[-1]) + 2 * len(coeffs) + 8
         error = float((np.abs(coeffs) * slack).sum()) * 2.0**-53
         lower = max(float(np.abs(values).max()) - error, 0.0)
         return lower, upper
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "TrigPolynomial(0)"
-        parts = [
-            f"({c:.6g})*e(i*{f}*x)" for f, c in sorted(self._coeffs.items())[:6]
-        ]
-        if len(self._coeffs) > 6:
-            parts.append(f"... {len(self._coeffs) - 6} more")
-        return "TrigPolynomial(" + " + ".join(parts) + ")"
 
 
 def trig_generator(a: RationalLike) -> TrigPolynomial:

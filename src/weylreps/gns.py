@@ -24,11 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .algebra import (
-    PRUNE_TOL,
     RationalLike,
     WeylElement,
     as_fraction,
@@ -39,6 +37,7 @@ from .algebra import (
 from .reps import (
     MOMENTUM,
     POSITION,
+    FiniteSupportVector,
     apply_element,
     apply_U,
     apply_V,
@@ -129,52 +128,10 @@ def is_null(v: GnsVector) -> bool:
     if v.owner.kind == VACUUM:
         return gns_inner(v, v).real < 1e-12
     reduced = reduce_position(v) if v.owner.kind == POSITION else reduce_momentum(v)
-    return not reduced.amplitudes
+    return not reduced
 
 
-class ReducedVector:
-    """Amplitudes keyed by the translation applied to the cyclic vector."""
-
-    __slots__ = ("_amplitudes",)
-
-    def __init__(self, amplitudes: Union[Mapping, Iterable[Tuple], None] = None):
-        clean: dict[Fraction, complex] = {}
-        if amplitudes is not None:
-            items = (
-                amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
-            )
-            for key, amp in items:
-                c = complex(amp)
-                key = as_fraction(key)
-                merged = clean.get(key, 0j) + c
-                if abs(merged) <= PRUNE_TOL:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = merged
-        self._amplitudes = clean
-
-    @property
-    def amplitudes(self) -> Mapping[Fraction, complex]:
-        return MappingProxyType(self._amplitudes)
-
-    def inner(self, other: "ReducedVector") -> complex:
-        total = 0j
-        for key, amp in self._amplitudes.items():
-            if key in other._amplitudes:
-                total += amp.conjugate() * other._amplitudes[key]
-        return total
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(abs(c) ** 2 for c in self._amplitudes.values()))
-
-    def __repr__(self) -> str:
-        pts = ", ".join(
-            f"{k}: {c:.6g}" for k, c in sorted(self._amplitudes.items())[:6]
-        )
-        return f"ReducedVector({{{pts}}})"
-
-
-def reduce_position(v: GnsVector) -> ReducedVector:
+def reduce_position(v: GnsVector) -> FiniteSupportVector:
     """Canonical form of a vector over a sharp-position state.
 
     Each term c*W(a, b) of the word contributes ``c * exp(i a (lam - b))``
@@ -186,10 +143,10 @@ def reduce_position(v: GnsVector) -> ReducedVector:
     out: dict[Fraction, complex] = {}
     for (a, b), c in v.word.terms.items():
         out[b] = out.get(b, 0j) + c * phase(a * (lam - b))
-    return ReducedVector(out)
+    return FiniteSupportVector(out, POSITION)
 
 
-def reduce_momentum(v: GnsVector) -> ReducedVector:
+def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
     """Mirror reduction: c*W(a, b) contributes c * exp(i b mu) at key a."""
     if v.owner.kind != MOMENTUM:
         raise ValueError(f"owner is {v.owner.kind}, needs a momentum state")
@@ -197,7 +154,7 @@ def reduce_momentum(v: GnsVector) -> ReducedVector:
     out: dict[Fraction, complex] = {}
     for (a, b), c in v.word.terms.items():
         out[a] = out.get(a, 0j) + c * phase(b * mu)
-    return ReducedVector(out)
+    return FiniteSupportVector(out, MOMENTUM)
 
 
 def continuity_scan(

@@ -20,12 +20,11 @@ form of position/momentum complementarity.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
-from .algebra import PRUNE_TOL, RationalLike, WeylElement, as_fraction, phase
+from .algebra import RationalLike, SparseMap, WeylElement, as_fraction, phase
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -40,10 +39,15 @@ class NonexistentObservableError(ValueError):
     """Asked a flavor for the generator that does not exist in it."""
 
 
-class FiniteSupportVector:
-    """Finitely supported map from exact rational points to amplitudes."""
+class FiniteSupportVector(SparseMap):
+    """Finitely supported map from exact rational points to amplitudes.
 
-    __slots__ = ("_amplitudes", "flavor")
+    Vectors of different flavors live in different spaces: they compare
+    unequal, and adding them or taking their inner product raises
+    :class:`FlavorMismatchError`.
+    """
+
+    __slots__ = ("flavor",)
 
     def __init__(
         self,
@@ -52,40 +56,18 @@ class FiniteSupportVector:
     ):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor: {flavor!r}")
-        clean: dict[Fraction, complex] = {}
-        if amplitudes is not None:
-            items = (
-                amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
-            )
-            for key, amp in items:
-                c = complex(amp)
-                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise ValueError(f"non-finite amplitude at {key}: {amp!r}")
-                point = as_fraction(key)
-                merged = clean.get(point, 0j) + c
-                if abs(merged) <= PRUNE_TOL:
-                    clean.pop(point, None)
-                else:
-                    clean[point] = merged
-        self._amplitudes = clean
+        super().__init__(amplitudes)
         self.flavor = flavor
+
+    def _new(self, data) -> "FiniteSupportVector":
+        return FiniteSupportVector(data, self.flavor)
 
     @property
     def amplitudes(self) -> Mapping[Fraction, complex]:
-        return MappingProxyType(self._amplitudes)
-
-    def __bool__(self) -> bool:
-        return bool(self._amplitudes)
-
-    def __len__(self) -> int:
-        return len(self._amplitudes)
+        return MappingProxyType(self._data)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteSupportVector):
-            return NotImplemented
-        return self.flavor == other.flavor and self._amplitudes == other._amplitudes
-
-    __hash__ = None
+        return SparseMap.__eq__(self, other) and self.flavor == other.flavor
 
     def _check_flavor(self, other: "FiniteSupportVector") -> None:
         if self.flavor != other.flavor:
@@ -93,45 +75,23 @@ class FiniteSupportVector:
                 f"cannot combine {self.flavor} with {other.flavor}"
             )
 
-    def __add__(self, other: "FiniteSupportVector") -> "FiniteSupportVector":
-        if not isinstance(other, FiniteSupportVector):
-            return NotImplemented
+    def __add__(self, other):
+        if isinstance(other, FiniteSupportVector):
+            self._check_flavor(other)
+        return SparseMap.__add__(self, other)
+
+    max_amplitude = SparseMap.max_coeff
+
+    def inner(self, other: "FiniteSupportVector") -> complex:
+        """Sum over the exact key intersection, conjugate-linear in ``self``."""
         self._check_flavor(other)
-        out = dict(self._amplitudes)
-        for point, c in other._amplitudes.items():
-            out[point] = out.get(point, 0j) + c
-        return FiniteSupportVector(out, self.flavor)
-
-    def __sub__(self, other: "FiniteSupportVector") -> "FiniteSupportVector":
-        if not isinstance(other, FiniteSupportVector):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "FiniteSupportVector":
-        return FiniteSupportVector(
-            {p: -c for p, c in self._amplitudes.items()}, self.flavor
-        )
-
-    def __mul__(self, other) -> "FiniteSupportVector":
-        if isinstance(other, (int, float, complex)):
-            return FiniteSupportVector(
-                {p: c * other for p, c in self._amplitudes.items()}, self.flavor
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(abs(c) ** 2 for c in self._amplitudes.values()))
-
-    def max_amplitude(self) -> float:
-        return max((abs(c) for c in self._amplitudes.values()), default=0.0)
-
-    def __repr__(self) -> str:
-        pts = ", ".join(
-            f"{p}: {c:.6g}" for p, c in sorted(self._amplitudes.items())[:6]
-        )
-        return f"FiniteSupportVector({{{pts}}}, flavor={self.flavor!r})"
+        mine, theirs = self._data, other._data
+        small, large = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)
+        total = 0j
+        for point in small:
+            if point in large:
+                total += mine[point].conjugate() * theirs[point]
+        return total
 
 
 def basis_vector(point: RationalLike, flavor: str = POSITION) -> FiniteSupportVector:
@@ -141,13 +101,7 @@ def basis_vector(point: RationalLike, flavor: str = POSITION) -> FiniteSupportVe
 
 def inner(u: FiniteSupportVector, v: FiniteSupportVector) -> complex:
     """Sum over the exact key intersection, conjugate-linear in ``u``."""
-    u._check_flavor(v)
-    small, large = (u, v) if len(u) <= len(v) else (v, u)
-    total = 0j
-    for point in small._amplitudes:
-        if point in large._amplitudes:
-            total += u._amplitudes[point].conjugate() * v._amplitudes[point]
-    return total
+    return u.inner(v)
 
 
 def apply_U(a: RationalLike, v: FiniteSupportVector) -> FiniteSupportVector:

@@ -7,7 +7,12 @@ from hypothesis import given
 
 from helpers import elements_st, fractions_st, rand_element
 from weylreps import (
+    MOMENTUM,
+    POSITION,
     PRUNE_TOL,
+    FiniteSupportVector,
+    FlavorMismatchError,
+    TrigPolynomial,
     WeylElement,
     WeylIndex,
     as_fraction,
@@ -154,3 +159,42 @@ def test_associativity_random_sweep():
     for _ in range(50):
         x, y, z = (rand_element(rng) for _ in range(3))
         assert ((x * y) * z - x * (y * z)).max_coeff() < 1e-10
+
+
+# every kind of sparse map: constructor from data, and a key it accepts
+SPARSE_KINDS = {
+    "weyl": (WeylElement, (Fraction(1, 2), Fraction(-3))),
+    "position": (lambda data: FiniteSupportVector(data, POSITION), Fraction(3, 2)),
+    "momentum": (lambda data: FiniteSupportVector(data, MOMENTUM), Fraction(3, 2)),
+    "trig": (TrigPolynomial, Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_KINDS))
+def test_sparse_map_normal_form(kind):
+    make, key = SPARSE_KINDS[kind]
+    merged = make([(key, 1.0), (key, 2j)])
+    assert len(merged) == 1
+    assert merged == make({key: 1 + 2j})
+    assert not make({key: PRUNE_TOL / 2})
+    assert make({key: 2 * PRUNE_TOL})
+    for bad in (float("inf"), complex("nan"), complex(0.0, float("-inf"))):
+        with pytest.raises(ValueError):
+            make({key: bad})
+    x = make({key: 1 + 2j})
+    assert not (x - x)
+    assert len(x - x) == 0
+    with pytest.raises(TypeError):
+        hash(x)
+    for other_kind, (other_make, other_key) in SPARSE_KINDS.items():
+        if other_kind == kind:
+            continue
+        other = other_make({other_key: 1 + 2j})
+        assert x != other
+        assert not (x == other)
+        if type(other) is type(x):
+            with pytest.raises(FlavorMismatchError):
+                x + other
+        else:
+            with pytest.raises(TypeError):
+                x + other

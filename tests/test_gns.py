@@ -6,6 +6,7 @@ import pytest
 
 from helpers import rand_element, rand_fraction
 from weylreps import (
+    FiniteSupportVector,
     OwnerMismatchError,
     continuity_scan,
     cyclic_vector,
@@ -148,6 +149,18 @@ def test_reduce_momentum_agrees_with_gram_inner():
         assert reduce_momentum(u).inner(reduce_momentum(v)) == pytest.approx(
             gns_inner(u, v), abs=1e-12
         )
+
+
+def test_reductions_are_vectors_of_the_owner_flavor():
+    word = generator(2, 3) + 0.5j * generator(Fraction(-1, 3), 1)
+    for state, reduce in (
+        (position_state(Fraction(1, 3)), reduce_position),
+        (momentum_state(Fraction(-2, 5)), reduce_momentum),
+    ):
+        reduced = reduce(gns_apply(word, cyclic_vector(state)))
+        assert isinstance(reduced, FiniteSupportVector)
+        assert reduced.flavor == state.kind
+        assert len(reduced) == 2
 
 
 def test_reduce_requires_matching_state_kind():
