@@ -45,9 +45,70 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+# Exact angles are reduced modulo 2 pi against this fixed-point constant.
+# Angles below 2**_MAX_ANGLE_BITS are accepted, and _TWO_PI carries 72 bits
+# beyond that: the 64 fractional bits of the reduction and 8 to spare.
+_MAX_ANGLE_BITS = 1024
+_TWO_PI_BITS = _MAX_ANGLE_BITS + 72
+
+
+def _two_pi_fixed(bits: int) -> int:
+    """2 pi 2**bits rounded down, in integers, from Machin's formula.
+
+    pi = 16 arctan(1/5) - 4 arctan(1/239), each arctan summed as its
+    alternating series with 32 guard bits, which absorb the truncation of
+    the few hundred integer divisions.
+    """
+    one = 1 << (bits + 32)
+
+    def arctan_inv(n: int) -> int:
+        total, power, k, sign = 0, one // n, 1, 1
+        while power:
+            total += sign * (power // k)
+            power //= n * n
+            k += 2
+            sign = -sign
+        return total
+
+    return (2 * (16 * arctan_inv(5) - 4 * arctan_inv(239))) >> 32
+
+
+_TWO_PI = _two_pi_fixed(_TWO_PI_BITS)
+
+
 def phase(theta: Union[Fraction, int, float]) -> complex:
-    """exp(i*theta), the unit-modulus phase attached to exact angles."""
-    return cmath.exp(1j * float(theta))
+    """exp(i*theta), the unit-modulus phase attached to exact angles.
+
+    An exact angle p/q (a ``Fraction`` or an ``int``) is reduced modulo
+    2 pi in integers before the one float ``exp``, so the phase is
+    accurate to a few units of 2**-53 at every magnitude.  With
+    |theta| < 2**mag, theta is taken to s = mag + 64 fractional bits and
+    reduced into [-pi, pi] against 2 pi at the same precision; the reduced
+    angle is then off by about 2**-64.  Angles up to 1 in
+    modulus need no reduction.  An angle with mag > 1024, so
+    |theta| > 2**1023, raises ``ValueError``.  A float angle is used as it
+    is.
+    """
+    if isinstance(theta, Fraction):
+        p, q = theta.numerator, theta.denominator
+    elif isinstance(theta, int):
+        p, q = theta, 1
+    else:
+        return cmath.exp(1j * float(theta))
+    if abs(p) <= q:
+        return cmath.exp(1j * (p / q))
+    mag = p.bit_length() - q.bit_length() + 1
+    if mag > _MAX_ANGLE_BITS:
+        raise ValueError(
+            f"phase angle out of range: |theta| > 2**{_MAX_ANGLE_BITS - 1}"
+        )
+    s = mag + 64
+    x = (p << s) // q
+    two_pi = _TWO_PI >> (_TWO_PI_BITS - s)
+    r = x % two_pi
+    if 2 * r > two_pi:
+        r -= two_pi
+    return cmath.exp(1j * (r / (1 << s)))
 
 
 class SparseMap:

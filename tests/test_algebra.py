@@ -101,6 +101,39 @@ def test_rejects_non_finite_coefficients():
         WeylElement({WeylIndex(Fraction(0), Fraction(0)): complex("inf")})
 
 
+@pytest.mark.parametrize(
+    "magnitude",
+    [10**4, 10**8, 10**12, 10**100, 10**300],
+    ids=lambda m: f"1e{len(str(m)) - 1}",
+)
+def test_phase_reduces_exact_angles_at_every_magnitude(magnitude):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(len(str(magnitude)))
+    with mpmath.workdps(len(str(magnitude)) + 40):
+        for _ in range(100):
+            den = rng.randint(1, 1000)
+            theta = Fraction(rng.randint(-magnitude * den, magnitude * den), den)
+            exact = mpmath.expj(mpmath.mpf(theta.numerator) / theta.denominator)
+            assert abs(phase(theta) - complex(exact)) <= 1e-15
+
+
+def test_phase_refuses_angles_past_the_float_range():
+    for theta in (2**1025, -(2**1025), Fraction(2**1100, 3)):
+        with pytest.raises(ValueError):
+            phase(theta)
+
+
+def test_phase_fast_path_is_the_float_exp():
+    rng = random.Random(3)
+    for _ in range(200):
+        den = rng.randint(1, 10**6)
+        theta = Fraction(rng.randint(-den, den), den)
+        assert phase(theta) == cmath.exp(1j * float(theta))
+    for theta in (0, 1, -1):
+        assert phase(theta) == cmath.exp(1j * theta)
+    assert phase(123.25) == cmath.exp(123.25j)
+
+
 def test_as_fraction_parses_exact_strings():
     assert as_fraction("3/2") == Fraction(3, 2)
     assert as_fraction(-7) == Fraction(-7)

@@ -9,6 +9,8 @@ import pytest
 
 from helpers import rand_coeff, rand_fraction
 from weylreps import (
+    MOMENTUM,
+    POSITION,
     StateFunctional,
     WeylElement,
     WeylIndex,
@@ -161,6 +163,56 @@ def test_gram_matrix_sharp_zeros_are_exact():
                     disjoint += 1
                     assert g[i, j] == 0
         assert disjoint > 0
+
+
+def exact_angle_gram(state, basis, mpmath):
+    """state(x_i* x_j) summed term by term, each phase taken at 60 digits.
+
+    W(s)* W(t) = exp(i (a_s - a_t) b_s) W(t - s), and a sharp state's value
+    on W(t - s) is one more exact phase or exactly 0.
+    """
+    g = np.zeros((len(basis), len(basis)), dtype=complex)
+    with mpmath.workdps(60):
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                total = mpmath.mpc(0)
+                for (a_s, b_s), c in x.terms.items():
+                    for (a_t, b_t), d in y.terms.items():
+                        if state.kind == POSITION and b_t == b_s:
+                            value = (a_t - a_s) * state.parameter
+                        elif state.kind == MOMENTUM and a_t == a_s:
+                            value = (b_t - b_s) * state.parameter
+                        else:
+                            continue
+                        angle = (a_s - a_t) * b_s + value
+                        total += (
+                            mpmath.conj(mpmath.mpc(c))
+                            * mpmath.mpc(d)
+                            * mpmath.expj(mpmath.mpf(angle.numerator) / angle.denominator)
+                        )
+                g[i, j] = complex(total)
+    return g
+
+
+@pytest.mark.parametrize("state", SHARP_AND_VACUUM[:2], ids=["position", "momentum"])
+def test_gram_matrix_exact_angles_at_large_labels(state):
+    mpmath = pytest.importorskip("mpmath")
+    scale = 10**8
+    basis = [
+        WeylElement({WeylIndex(i.a * scale, i.b * scale): c for i, c in x.terms.items()})
+        for x in alphabet_basis(random.Random(21), 16)
+    ]
+    exact = exact_angle_gram(state, basis, mpmath)
+    assert np.count_nonzero(exact) > 2 * len(basis)
+    assert np.max(np.abs(gram_matrix(state, basis) - exact)) <= 1e-12
+
+
+def test_vacuum_beyond_the_float_range_is_exactly_zero():
+    huge = Fraction(10**400)
+    omega = vacuum_state()
+    assert omega.generator_value(huge, Fraction(0)) == 0j
+    assert omega.generator_value(Fraction(1, 2), -huge) == 0j
+    assert omega(generator(huge, 1) + generator(0, 0)) == 1
 
 
 def test_gram_matrix_zero_element_gives_zero_row_and_column():
