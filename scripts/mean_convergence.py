@@ -3,9 +3,11 @@
 
 Sweeps the averaging length N for a sample polynomial and prints the
 measured gap next to the analytic envelope sum_j 2|c_j|/(|a_j| N); the gap
-must stay inside the envelope at every N.
+must stay inside the envelope at every N, and the script exits 1 if it
+does not.
 """
 
+import sys
 from fractions import Fraction
 
 from weylreps import (
@@ -25,16 +27,19 @@ SAMPLE = TrigPolynomial(
 )
 
 
-def main() -> None:
+def main() -> int:
     exact = invariant_mean(SAMPLE)
     print(f"exact mean: {exact}")
     print(f"{'N':>8}  {'|gap|':>12}  {'envelope':>12}")
+    violations = 0
     for n in (10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0):
         gap = abs(mean_quadrature(SAMPLE, n) - exact)
         envelope = truncation_bound(SAMPLE, n)
+        violations += gap > envelope
         marker = "ok" if gap <= envelope else "VIOLATION"
         print(f"{n:>8.0f}  {gap:>12.3e}  {envelope:>12.3e}  {marker}")
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,12 +14,12 @@ unit-modulus phase:
 A general element is a finitely supported complex combination of generators.
 Index arithmetic is exact (`fractions.Fraction`); only the coefficients live
 in floating point.  Elements are immutable; every operation returns a new
-element in normal form with near-zero coefficients pruned.
+element in normal form with near-zero coefficients pruned.  That normal
+form is :class:`SparseMap`, which the point-model vectors of ``reps`` and
+the trigonometric polynomials of ``almost_periodic`` share.
 
-That normal form is :class:`SparseMap`, a finitely supported map from exact
-keys to complex numbers.  The point-model vectors of ``reps`` and the
-trigonometric polynomials of ``almost_periodic`` are sparse maps too; each
-kind adds only its own operations (here the product and the adjoint).
+:func:`phase` reduces an exact angle modulo 2 pi in integers before its one
+float ``exp``, so a phase is as accurate at label 1e100 as at label 1.
 """
 
 from __future__ import annotations
@@ -45,49 +45,34 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-# Exact angles are reduced modulo 2 pi against this fixed-point constant.
-# Angles below 2**_MAX_ANGLE_BITS are accepted, and _TWO_PI carries 72 bits
-# beyond that: the 64 fractional bits of the reduction and 8 to spare.
+def _arctan_inv(n: int, one: int) -> int:
+    """arctan(1/n) * one, summed as the alternating series in integers."""
+    total, power, k = 0, one // n, 1
+    while power:
+        total += power // k if k % 4 == 1 else -(power // k)
+        power //= n * n
+        k += 2
+    return total
+
+
+# 2 pi 2**_TWO_PI_BITS rounded down, from Machin's formula
+# pi = 16 arctan(1/5) - 4 arctan(1/239) with 32 guard bits.  It has 72 bits
+# beyond the largest angle phase() accepts: 64 for the reduced angle, 8 spare.
 _MAX_ANGLE_BITS = 1024
 _TWO_PI_BITS = _MAX_ANGLE_BITS + 72
-
-
-def _two_pi_fixed(bits: int) -> int:
-    """2 pi 2**bits rounded down, in integers, from Machin's formula.
-
-    pi = 16 arctan(1/5) - 4 arctan(1/239), each arctan summed as its
-    alternating series with 32 guard bits, which absorb the truncation of
-    the few hundred integer divisions.
-    """
-    one = 1 << (bits + 32)
-
-    def arctan_inv(n: int) -> int:
-        total, power, k, sign = 0, one // n, 1, 1
-        while power:
-            total += sign * (power // k)
-            power //= n * n
-            k += 2
-            sign = -sign
-        return total
-
-    return (2 * (16 * arctan_inv(5) - 4 * arctan_inv(239))) >> 32
-
-
-_TWO_PI = _two_pi_fixed(_TWO_PI_BITS)
+_ONE = 1 << (_TWO_PI_BITS + 32)
+_TWO_PI = (32 * _arctan_inv(5, _ONE) - 8 * _arctan_inv(239, _ONE)) >> 32
 
 
 def phase(theta: Union[Fraction, int, float]) -> complex:
     """exp(i*theta), the unit-modulus phase attached to exact angles.
 
-    An exact angle p/q (a ``Fraction`` or an ``int``) is reduced modulo
-    2 pi in integers before the one float ``exp``, so the phase is
-    accurate to a few units of 2**-53 at every magnitude.  With
-    |theta| < 2**mag, theta is taken to s = mag + 64 fractional bits and
-    reduced into [-pi, pi] against 2 pi at the same precision; the reduced
-    angle is then off by about 2**-64.  Angles up to 1 in
-    modulus need no reduction.  An angle with mag > 1024, so
-    |theta| > 2**1023, raises ``ValueError``.  A float angle is used as it
-    is.
+    An exact angle p/q with |p/q| < 2**mag, mag > 0, is taken to s = mag + 64
+    fractional bits and reduced into [-pi, pi] against 2 pi at the same
+    precision, in integers, before the one float ``exp``; so the phase is
+    accurate to a few units of 2**-53 at every magnitude.  Up to 1 in
+    modulus no reduction is needed, and a float angle is used as it is.
+    mag > 1024 (|theta| > 2**1023) raises ``ValueError``.
     """
     if isinstance(theta, Fraction):
         p, q = theta.numerator, theta.denominator
@@ -99,28 +84,23 @@ def phase(theta: Union[Fraction, int, float]) -> complex:
         return cmath.exp(1j * (p / q))
     mag = p.bit_length() - q.bit_length() + 1
     if mag > _MAX_ANGLE_BITS:
-        raise ValueError(
-            f"phase angle out of range: |theta| > 2**{_MAX_ANGLE_BITS - 1}"
-        )
+        raise ValueError(f"phase angle out of range: |theta| > 2**{_MAX_ANGLE_BITS - 1}")
     s = mag + 64
-    x = (p << s) // q
     two_pi = _TWO_PI >> (_TWO_PI_BITS - s)
-    r = x % two_pi
+    r = ((p << s) // q) % two_pi
     if 2 * r > two_pi:
         r -= two_pi
     return cmath.exp(1j * (r / (1 << s)))
 
 
 class SparseMap:
-    """Finitely supported map from exact keys to complex numbers.
+    """Finitely supported map from exact keys to complex numbers, immutable.
 
-    The normal form shared by algebra elements, point-model vectors and
-    trigonometric polynomials: equal keys are merged, values at or below
-    ``PRUNE_TOL`` in modulus are dropped, and a non-finite value is refused.
-    Instances are immutable; ``+``, ``-`` and scalar ``*`` return new maps of
-    the same kind, built by :meth:`_new`.  Equality compares the stored
-    values exactly; use :meth:`max_coeff` of a difference for tolerance-based
-    comparison.  The class attribute ``_key`` coerces each key.
+    Equal keys are merged, values at or below ``PRUNE_TOL`` in modulus are
+    dropped, and a non-finite value is refused; ``_key`` coerces the keys.
+    ``+``, ``-`` and scalar ``*`` build maps of the same kind with
+    :meth:`_new`.  ``==`` is exact; compare with tolerance through
+    :meth:`max_coeff` of a difference.
     """
 
     __slots__ = ("_data",)
@@ -168,8 +148,6 @@ class SparseMap:
         return self._new(out)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -180,17 +158,11 @@ class SparseMap:
             return self._new({key: c * other for key, c in self._data.items()})
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self._new({key: other * c for key, c in self._data.items()})
-        return NotImplemented
+    __rmul__ = __mul__
 
     def l1_bound(self) -> float:
-        """Sum of value moduli; for an algebra element, an operator-norm bound.
-
-        The true operator norm is not computed anywhere in this package;
-        every norm statement about an element goes through this bound.
-        """
+        """Sum of value moduli; for an algebra element, the operator-norm
+        bound that every norm statement in this package goes through."""
         return math.fsum(abs(c) for c in self._data.values())
 
     def max_coeff(self) -> float:
@@ -229,11 +201,8 @@ def _as_index(key) -> WeylIndex:
 
 
 class WeylElement(SparseMap):
-    """Finite linear combination of generators, kept in normal form.
-
-    Adds to the sparse-map operations the algebra product ``*`` and
-    ``adjoint``; ``l1_bound`` is the norm bound.
-    """
+    """Finite linear combination of generators, with the algebra product
+    ``*`` and ``adjoint``."""
 
     __slots__ = ()
 

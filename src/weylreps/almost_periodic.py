@@ -27,10 +27,8 @@ from .reps import v_direction_matrix_element
 
 
 class TrigPolynomial(SparseMap):
-    """Finite complex combination of characters exp(i a x), a rational.
-
-    A number added to or subtracted from a polynomial acts as a constant.
-    """
+    """Finite complex combination of characters exp(i a x), a rational;
+    a number added or subtracted acts as a constant."""
 
     __slots__ = ()
 
@@ -44,9 +42,6 @@ class TrigPolynomial(SparseMap):
         return SparseMap.__add__(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TrigPolynomial):

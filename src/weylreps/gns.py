@@ -135,7 +135,8 @@ def reduce_position(v: GnsVector) -> FiniteSupportVector:
     """Canonical form of a vector over a sharp-position state.
 
     Each term c*W(a, b) of the word contributes ``c * exp(i a (lam - b))``
-    at translation key ``b``; the reduction is isometric for gns_inner.
+    at translation key ``b`` of a position-flavor vector; the reduction is
+    isometric for gns_inner.
     """
     if v.owner.kind != POSITION:
         raise ValueError(f"owner is {v.owner.kind}, needs a position state")
@@ -147,7 +148,8 @@ def reduce_position(v: GnsVector) -> FiniteSupportVector:
 
 
 def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
-    """Mirror reduction: c*W(a, b) contributes c * exp(i b mu) at key a."""
+    """Mirror reduction: c*W(a, b) contributes c * exp(i b mu) at key a of a
+    momentum-flavor vector."""
     if v.owner.kind != MOMENTUM:
         raise ValueError(f"owner is {v.owner.kind}, needs a momentum state")
     mu = v.owner.parameter

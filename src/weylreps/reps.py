@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Union
 
 from .algebra import RationalLike, SparseMap, WeylElement, as_fraction, phase
 
@@ -49,11 +49,8 @@ class FiniteSupportVector(SparseMap):
 
     __slots__ = ("flavor",)
 
-    def __init__(
-        self,
-        amplitudes: Union[Mapping, Iterable[Tuple], None] = None,
-        flavor: str = POSITION,
-    ):
+    def __init__(self, amplitudes: Union[Mapping, Iterable, None] = None,
+                 flavor: str = POSITION):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor: {flavor!r}")
         super().__init__(amplitudes)
@@ -71,9 +68,7 @@ class FiniteSupportVector(SparseMap):
 
     def _check_flavor(self, other: "FiniteSupportVector") -> None:
         if self.flavor != other.flavor:
-            raise FlavorMismatchError(
-                f"cannot combine {self.flavor} with {other.flavor}"
-            )
+            raise FlavorMismatchError(f"cannot combine {self.flavor} with {other.flavor}")
 
     def __add__(self, other):
         if isinstance(other, FiniteSupportVector):
@@ -104,24 +99,24 @@ def inner(u: FiniteSupportVector, v: FiniteSupportVector) -> complex:
     return u.inner(v)
 
 
+def _phased(v: FiniteSupportVector, t: Fraction) -> FiniteSupportVector:
+    return v._new({p: c * phase(t * p) for p, c in v.amplitudes.items()})
+
+
+def _shifted(v: FiniteSupportVector, t: Fraction) -> FiniteSupportVector:
+    return v._new({p + t: c for p, c in v.amplitudes.items()})
+
+
 def apply_U(a: RationalLike, v: FiniteSupportVector) -> FiniteSupportVector:
     """Phase multiplication in the position flavor, translation in momentum."""
     a = as_fraction(a)
-    if v.flavor == POSITION:
-        return FiniteSupportVector(
-            {p: c * phase(a * p) for p, c in v.amplitudes.items()}, POSITION
-        )
-    return FiniteSupportVector({p + a: c for p, c in v.amplitudes.items()}, MOMENTUM)
+    return _phased(v, a) if v.flavor == POSITION else _shifted(v, a)
 
 
 def apply_V(b: RationalLike, v: FiniteSupportVector) -> FiniteSupportVector:
     """Translation in the position flavor, phase multiplication in momentum."""
     b = as_fraction(b)
-    if v.flavor == POSITION:
-        return FiniteSupportVector({p - b: c for p, c in v.amplitudes.items()}, POSITION)
-    return FiniteSupportVector(
-        {p: c * phase(b * p) for p, c in v.amplitudes.items()}, MOMENTUM
-    )
+    return _shifted(v, -b) if v.flavor == POSITION else _phased(v, b)
 
 
 def apply_Q(v: FiniteSupportVector) -> FiniteSupportVector:
@@ -134,9 +129,7 @@ def apply_Q(v: FiniteSupportVector) -> FiniteSupportVector:
         raise NonexistentObservableError(
             "nonexistent observable: no position operator in the momentum flavor"
         )
-    return FiniteSupportVector(
-        {p: c * float(p) for p, c in v.amplitudes.items()}, POSITION
-    )
+    return v._new({p: c * float(p) for p, c in v.amplitudes.items()})
 
 
 def apply_P(v: FiniteSupportVector) -> FiniteSupportVector:
@@ -149,9 +142,7 @@ def apply_P(v: FiniteSupportVector) -> FiniteSupportVector:
         raise NonexistentObservableError(
             "nonexistent observable: no momentum operator in the position flavor"
         )
-    return FiniteSupportVector(
-        {p: c * float(p) for p, c in v.amplitudes.items()}, MOMENTUM
-    )
+    return v._new({p: c * float(p) for p, c in v.amplitudes.items()})
 
 
 def finite_difference_generator(
@@ -177,7 +168,7 @@ def apply_element(x: WeylElement, v: FiniteSupportVector) -> FiniteSupportVector
         moved = apply_U(a, apply_V(b, v))
         for point, amp in moved.amplitudes.items():
             total[point] = total.get(point, 0j) + c * amp
-    return FiniteSupportVector(total, v.flavor)
+    return v._new(total)
 
 
 def weyl_relation_check(

@@ -64,13 +64,12 @@ class StateFunctional:
             if a == 0:
                 return phase(b * self.parameter)
             return 0j
-        # vacuum: normal-ordering phase times the Gaussian envelope.  The
-        # float angle is not reduced exactly: the envelope damps its error to
-        # at most (|ab|/2) 2**-53 e^{-(a^2+b^2)/4} <= 2**-53/e < 4.1e-17.
+        # vacuum: normal-ordering phase times the Gaussian envelope, which
+        # damps the float angle's error to (|ab|/2) 2**-53 e^{-(a^2+b^2)/4}
+        # <= 2**-53/e, and is exactly 0 past the float range of a^2 + b^2
         try:
             return cmath.exp(complex(-float(a * a + b * b) / 4.0, -float(a * b) / 2.0))
         except OverflowError:
-            # a^2 + b^2 is past the float range, so the envelope is exactly 0
             return 0j
 
     def __call__(self, element: WeylElement) -> complex:
