@@ -25,10 +25,12 @@ float ``exp``, so a phase is as accurate at label 1e100 as at label 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -43,6 +45,18 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def as_float(value: Fraction, what: str = "rational") -> float:
+    """``float(value)``, refusing a value past the float range.
+
+    ``float`` raises ``OverflowError`` there; like :func:`phase`, the
+    library refuses it with a ``ValueError`` that names ``what``.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} out of float range: |{what}| >= 2**1024") from None
 
 
 def _arctan_inv(n: int, one: int) -> int:
@@ -99,8 +113,8 @@ class SparseMap:
     Equal keys are merged, values at or below ``PRUNE_TOL`` in modulus are
     dropped, and a non-finite value is refused; ``_key`` coerces the keys.
     ``+``, ``-`` and scalar ``*`` build maps of the same kind with
-    :meth:`_new`.  ``==`` is exact; compare with tolerance through
-    :meth:`max_coeff` of a difference.
+    :meth:`_new`, which skips the merge their keys do not need.  ``==`` is
+    exact; compare with tolerance through :meth:`max_coeff` of a difference.
     """
 
     __slots__ = ("_data",)
@@ -124,9 +138,26 @@ class SparseMap:
                     clean[key] = merged
         self._data = clean
 
-    def _new(self, data) -> "SparseMap":
-        """A map of the same kind as ``self`` holding ``data``."""
-        return type(self)(data)
+    def _new(self, data: dict) -> "SparseMap":
+        """A map of the same kind as ``self`` that takes over ``data``.
+
+        ``data`` is a fresh dict whose keys are already coerced and
+        distinct, as every operation on maps in normal form builds it.  Of
+        the constructor's steps only two remain: the refusal of a
+        non-finite value and the prune at ``PRUNE_TOL``.
+        """
+        pruned = []
+        for key, c in data.items():
+            size = abs(c)
+            if size <= PRUNE_TOL:
+                pruned.append(key)
+            elif not size < math.inf:  # inf, or nan
+                raise ValueError(f"non-finite coefficient at {key}: {c!r}")
+        for key in pruned:
+            del data[key]
+        new = object.__new__(type(self))
+        new._data = data
+        return new
 
     def __bool__(self) -> bool:
         return bool(self._data)
@@ -183,14 +214,55 @@ class SparseMap:
         return f"{type(self).__name__}({{{body}}}{extra})"
 
 
-class WeylIndex(NamedTuple):
-    """Label (a, b) of the normal-ordered generator W(a, b) = U_a V_b."""
+@functools.total_ordering
+class WeylIndex:
+    """Label (a, b) of the normal-ordered generator W(a, b) = U_a V_b.
 
-    a: Fraction
-    b: Fraction
+    Immutable.  It unpacks, compares and orders as the tuple ``(a, b)``,
+    equals it and has its hash.  That hash is computed once, when the label
+    is built: every product term puts its label in a dict, and a tuple of
+    two ``Fraction``s hashes both of them again on each lookup.
+    """
+
+    __slots__ = ("_a", "_b", "_hash")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        self._a = a
+        self._b = b
+        self._hash = hash((a, b))
+
+    a = property(attrgetter("_a"))
+    b = property(attrgetter("_b"))
+
+    def __iter__(self):
+        return iter((self._a, self._b))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WeylIndex):
+            return (self._hash == other._hash and self._a == other._a
+                    and self._b == other._b)
+        if isinstance(other, tuple):
+            return (self._a, self._b) == other
+        return NotImplemented
+
+    def __lt__(self, other) -> bool:
+        if isinstance(other, WeylIndex):
+            other = (other._a, other._b)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return (self._a, self._b) < other
+
+    def __reduce__(self):
+        return WeylIndex, (self._a, self._b)
+
+    def __repr__(self) -> str:
+        return f"WeylIndex(a={self._a!r}, b={self._b!r})"
 
     def __str__(self) -> str:
-        return f"({self.a}, {self.b})"
+        return f"({self._a}, {self._b})"
 
 
 def _as_index(key) -> WeylIndex:
@@ -219,19 +291,21 @@ class WeylElement(SparseMap):
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
             return SparseMap.__mul__(self, other)
+        right = [(index._a, index._b, c) for index, c in other._data.items()]
         out: dict[WeylIndex, complex] = {}
-        for (a1, b1), c1 in self._data.items():
-            for (a2, b2), c2 in other._data.items():
-                index = WeylIndex(a1 + a2, b1 + b2)
-                out[index] = out.get(index, 0j) + c1 * c2 * phase(a2 * b1)
-        return WeylElement(out)
+        for index, c1 in self._data.items():
+            a1, b1 = index._a, index._b
+            for a2, b2, c2 in right:
+                key = WeylIndex(a1 + a2, b1 + b2)
+                out[key] = out.get(key, 0j) + c1 * c2 * phase(a2 * b1)
+        return self._new(out)
 
     def adjoint(self) -> "WeylElement":
         """Conjugate-linear star operation: W(a,b)* = exp(iab) W(-a,-b)."""
-        return WeylElement(
+        return self._new(
             {
-                WeylIndex(-a, -b): c.conjugate() * phase(a * b)
-                for (a, b), c in self._data.items()
+                WeylIndex(-i._a, -i._b): c.conjugate() * phase(i._a * i._b)
+                for i, c in self._data.items()
             }
         )
 

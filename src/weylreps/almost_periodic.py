@@ -22,7 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence, Tuple
 
-from .algebra import RationalLike, SparseMap, as_fraction, phase
+from .algebra import RationalLike, SparseMap, as_float, as_fraction, phase
 from .reps import v_direction_matrix_element
 
 
@@ -51,18 +51,16 @@ class TrigPolynomial(SparseMap):
             for f2, c2 in other._data.items():
                 freq = f1 + f2
                 out[freq] = out.get(freq, 0j) + c1 * c2
-        return TrigPolynomial(out)
+        return self._new(out)
 
     def conjugate(self) -> "TrigPolynomial":
         """Star operation: frequencies flip sign, coefficients conjugate."""
-        return TrigPolynomial({-f: c.conjugate() for f, c in self._data.items()})
+        return self._new({-f: c.conjugate() for f, c in self._data.items()})
 
     def translate(self, t: RationalLike) -> "TrigPolynomial":
         """f(. + t): each coefficient picks up the phase exp(i a t)."""
         t = as_fraction(t)
-        return TrigPolynomial(
-            {f: c * phase(f * t) for f, c in self._data.items()}
-        )
+        return self._new({f: c * phase(f * t) for f, c in self._data.items()})
 
     def evaluate_at(self, x: RationalLike) -> complex:
         """Pointwise value; a multiplicative functional on the algebra."""
@@ -87,7 +85,9 @@ class TrigPolynomial(SparseMap):
         the product (at most 2 |theta| 2**-53 each); the rest covers exp,
         the coefficient product, the sum over the terms and the modulus.
         So lower <= sup <= upper at every label scale; once the angle term
-        reaches the l1 sum, lower is 0.
+        reaches the l1 sum, lower is 0, and so it is where an angle passes
+        the float range.  A frequency past the float range raises
+        ``ValueError``.
         """
         upper = self.l1_bound()
         if not self._data:
@@ -95,14 +95,15 @@ class TrigPolynomial(SparseMap):
         import numpy as np
 
         coeffs = np.array(list(self._data.values()))
-        theta = np.outer(
-            np.arange(1024) / 16.0, [float(f) for f in self._data]
-        )
-        values = (np.exp(1j * theta) * coeffs).sum(axis=1)
-        slack = 4.0 * np.abs(theta[-1]) + 2 * len(coeffs) + 8
-        error = float((np.abs(coeffs) * slack).sum()) * 2.0**-53
-        lower = max(float(np.abs(values).max()) - error, 0.0)
-        return lower, upper
+        freqs = [as_float(f, "frequency") for f in self._data]
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = np.outer(np.arange(1024) / 16.0, freqs)
+            values = (np.exp(1j * theta) * coeffs).sum(axis=1)
+            slack = 4.0 * np.abs(theta[-1]) + 2 * len(coeffs) + 8
+            error = float((np.abs(coeffs) * slack).sum()) * 2.0**-53
+        lower = float(np.abs(values).max()) - error
+        # an infinite angle makes lower nan, which the clamp also sends to 0
+        return (lower if lower > 0 else 0.0), upper
 
 
 def trig_generator(a: RationalLike) -> TrigPolynomial:

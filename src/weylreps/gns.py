@@ -103,9 +103,24 @@ def cyclic_vector(state: StateFunctional) -> GnsVector:
 
 
 def gns_inner(u: GnsVector, v: GnsVector) -> complex:
-    """<u, v> = owner(adjoint(u.word) * v.word), conjugate-linear in u."""
+    """<u, v> = owner(u.word.adjoint() * v.word), conjugate-linear in u.
+
+    Summed without building the product: for u.word = sum_s c_s W(s) and
+    v.word = sum_t d_t W(t) it is sum_{s,t} conj(c_s) d_t K(s, t), over the
+    generator kernel K(s, t) = owner(W(s)* W(t)) of
+    :meth:`StateFunctional.kernel`, which ``gram_matrix`` fills too.
+    """
     u._check_owner(v)
-    return v.owner(u.word.adjoint() * v.word)
+    kernel = v.owner.kernel
+    right = v.word.terms.items()
+    total = 0j
+    for s, c in u.word.terms.items():
+        c = c.conjugate()
+        for t, d in right:
+            value = kernel(s, t)
+            if value:
+                total += c * d * value
+    return total
 
 
 def gns_norm(v: GnsVector) -> float:

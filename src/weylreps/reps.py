@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .algebra import RationalLike, SparseMap, WeylElement, as_fraction, phase
+from .algebra import RationalLike, SparseMap, WeylElement, as_float, as_fraction, phase
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -56,8 +56,10 @@ class FiniteSupportVector(SparseMap):
         super().__init__(amplitudes)
         self.flavor = flavor
 
-    def _new(self, data) -> "FiniteSupportVector":
-        return FiniteSupportVector(data, self.flavor)
+    def _new(self, data: dict) -> "FiniteSupportVector":
+        new = SparseMap._new(self, data)
+        new.flavor = self.flavor
+        return new
 
     @property
     def amplitudes(self) -> Mapping[Fraction, complex]:
@@ -129,7 +131,7 @@ def apply_Q(v: FiniteSupportVector) -> FiniteSupportVector:
         raise NonexistentObservableError(
             "nonexistent observable: no position operator in the momentum flavor"
         )
-    return v._new({p: c * float(p) for p, c in v.amplitudes.items()})
+    return v._new({p: c * as_float(p, "point") for p, c in v.amplitudes.items()})
 
 
 def apply_P(v: FiniteSupportVector) -> FiniteSupportVector:
@@ -142,7 +144,7 @@ def apply_P(v: FiniteSupportVector) -> FiniteSupportVector:
         raise NonexistentObservableError(
             "nonexistent observable: no momentum operator in the position flavor"
         )
-    return v._new({p: c * float(p) for p, c in v.amplitudes.items()})
+    return v._new({p: c * as_float(p, "point") for p, c in v.amplitudes.items()})
 
 
 def finite_difference_generator(
@@ -158,7 +160,8 @@ def finite_difference_generator(
     if step == 0:
         raise ValueError("step must be nonzero")
     moved = apply_U(step, v) if v.flavor == POSITION else apply_V(step, v)
-    return (-1j / float(step)) * (moved - v)
+    # 1/step is taken exactly, so a step too small for a float is refused
+    return (-1j * as_float(1 / step, "1/step")) * (moved - v)
 
 
 def apply_element(x: WeylElement, v: FiniteSupportVector) -> FiniteSupportVector:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import RationalLike, WeylElement, as_fraction, phase
+from .algebra import RationalLike, WeylElement, WeylIndex, as_fraction, phase
 from .reps import MOMENTUM, POSITION
 
 # numpy is imported inside the two functions that compute with it, so
@@ -72,6 +72,23 @@ class StateFunctional:
         except OverflowError:
             return 0j
 
+    def kernel(self, s: WeylIndex, t: WeylIndex) -> complex:
+        """state(W(s)* W(t)) for the generator labels s and t.
+
+        From the adjoint rule and the product rule,
+
+            W(s)* W(t) = exp(i (a_s - a_t) b_s) W(t - s)
+
+        so this is one phase times one generator value.  The phase is taken
+        only where the value is nonzero, so a sharp state's zeros are
+        decided exactly on the rational labels.
+        """
+        a = t.a - s.a
+        value = self.generator_value(a, t.b - s.b)
+        if value:
+            return phase(-a * s.b) * value
+        return value
+
     def __call__(self, element: WeylElement) -> complex:
         """Linear extension of the generator rule."""
         total = 0j
@@ -104,16 +121,9 @@ def gram_matrix(
 
     Computed as ``C^H K C`` over the L distinct generators s = (a_s, b_s)
     of the basis: C is the L x n coefficient matrix and K the generator
-    kernel ``K[s, t] = state(W(s)* W(t))``.  From the adjoint rule and the
-    product rule,
-
-        W(s)* W(t) = exp(i (a_s - a_t) b_s) W(t - s)
-
-    so each kernel entry is one phase times one generator value.  Only the
-    upper triangle is evaluated; the lower is its conjugate.  The phase is
-    taken only where the generator value is nonzero, so a sharp state's
-    zeros are decided exactly on the rational labels, and cells between
-    words it cannot connect come out exactly 0.
+    kernel ``K[s, t] = state(W(s)* W(t))`` of :meth:`StateFunctional.kernel`.
+    Only the upper triangle is evaluated; the lower is its conjugate.  For
+    a sharp state, cells between words it cannot connect come out exactly 0.
     """
     import numpy as np
 
@@ -127,13 +137,12 @@ def gram_matrix(
         for index, c in x.terms.items():
             coeffs[slot[index], j] = c
     kernel = np.zeros((len(labels), len(labels)), dtype=complex)
-    for s, (a_s, b_s) in enumerate(labels):
+    for s, label in enumerate(labels):
         for t in range(s, len(labels)):
-            a_t, b_t = labels[t]
-            value = state.generator_value(a_t - a_s, b_t - b_s)
+            value = state.kernel(label, labels[t])
             if value:
-                kernel[s, t] = phase((a_s - a_t) * b_s) * value
-                kernel[t, s] = kernel[s, t].conjugate()
+                kernel[s, t] = value
+                kernel[t, s] = value.conjugate()
     return coeffs.conj().T @ kernel @ coeffs
 
 

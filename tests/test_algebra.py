@@ -1,11 +1,13 @@
 import cmath
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from helpers import elements_st, fractions_st, rand_element
+from helpers import elements_st, fractions_st, rand_element, rand_fraction
 from weylreps import (
     MOMENTUM,
     POSITION,
@@ -21,6 +23,7 @@ from weylreps import (
     phase,
     zero,
 )
+from weylreps.serialize import element_from_records
 
 
 def test_generator_identity_case():
@@ -231,3 +234,102 @@ def test_sparse_map_normal_form(kind):
         else:
             with pytest.raises(TypeError):
                 x + other
+
+
+LABEL_PAIRS = (
+    (Fraction(0), Fraction(0)),
+    (Fraction(1, 2), Fraction(-3)),
+    (Fraction(-7, 3), Fraction(5, 11)),
+    (Fraction(10**30, 7), Fraction(-5, 10**20)),
+)
+
+
+def test_label_hash_is_the_pair_hash():
+    for a, b in LABEL_PAIRS:
+        assert hash(WeylIndex(a, b)) == hash((a, b))
+
+
+def test_equal_labels_from_every_route_merge():
+    a, b = Fraction(1, 2), Fraction(-3)
+    routes = [
+        next(iter(generator(a, b).terms)),
+        next(iter((generator(Fraction(1, 3), -1) * generator(Fraction(1, 6), -2)).terms)),
+        next(iter(generator(-a, -b).adjoint().terms)),
+        next(iter(element_from_records([{"a": "1/2", "b": "-3", "re": 1, "im": 0}]).terms)),
+        WeylIndex(a, b),
+    ]
+    assert len({label: None for label in routes}) == 1
+    assert all(label == (a, b) and (a, b) == label for label in routes)
+    assert generator(a, b).terms[(a, b)] == 1
+    total = sum((generator(a, b) for _ in routes[1:]), generator(a, b))
+    assert total == 5 * generator(a, b)
+
+
+def test_label_order_is_tuple_order():
+    rng = random.Random(11)
+    pairs = [(rand_fraction(rng, 3, 2), rand_fraction(rng, 3, 2)) for _ in range(60)]
+    labels = [WeylIndex(a, b) for a, b in pairs]
+    assert [tuple(label) for label in sorted(labels)] == sorted(pairs)
+    for (a, b), label in zip(pairs, labels):
+        for other in pairs[:10]:
+            assert (label < other) == ((a, b) < other)
+            assert (label <= other) == ((a, b) <= other)
+            assert (label > WeylIndex(*other)) == ((a, b) > other)
+            assert (label >= WeylIndex(*other)) == ((a, b) >= other)
+
+
+def test_label_behaves_as_the_pair():
+    a, b = LABEL_PAIRS[1]
+    label = WeylIndex(a, b)
+    first, second = label
+    assert (first, second) == (label.a, label.b) == (a, b)
+    assert str(label) == "(1/2, -3)"
+    assert repr(label) == "WeylIndex(a=Fraction(1, 2), b=Fraction(-3, 1))"
+    assert label != (a, b, 0) and label != [a, b] and label != a
+    with pytest.raises(AttributeError):
+        label.a = Fraction(0)
+    for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):
+        assert type(twin) is WeylIndex
+        assert twin == label and hash(twin) == hash(label)
+    x = generator(a, b) + 0.5j * generator(-2, Fraction(1, 3))
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x
+
+
+def test_fast_path_refuses_non_finite_values():
+    big = 1e200 * generator(0, 0)
+    with pytest.raises(ValueError):
+        big * big
+    huge = 1e308 * generator(0, 0)
+    with pytest.raises(ValueError):
+        huge + huge
+    with pytest.raises(ValueError):
+        -huge - huge
+    with pytest.raises(ValueError):
+        generator(1, 2) * float("inf")
+    with pytest.raises(ValueError):
+        generator(1, 2) * complex("nan")
+
+
+def test_fast_path_prunes_at_the_tolerance():
+    g = generator(1, 0)
+    x, y = (3 * PRUNE_TOL) * g, (2.5 * PRUNE_TOL) * g
+    assert x and y and x + y
+    assert not x - y
+    assert not (1e-8 * g) * (1e-8 * g)
+    assert (1e-7 * g) * (1e-7 * g)
+    assert ((2 * PRUNE_TOL) * g).adjoint()
+    assert not (PRUNE_TOL / 2) * g
+    # a product term that cancels to below the tolerance is dropped
+    left = generator(0, 1) + generator(0, 0)
+    right = generator(1, 0) - phase(1) * generator(1, 1)
+    for label in (left * right).terms:
+        assert label != WeylIndex(Fraction(1), Fraction(1))
+
+
+def test_fast_path_matches_the_constructor():
+    rng = random.Random(17)
+    for _ in range(30):
+        x, y = rand_element(rng, 4), rand_element(rng, 4)
+        for result in (x * y, x.adjoint(), x + y, x - y, -x, 0.5j * x):
+            assert result == WeylElement(dict(result.terms))

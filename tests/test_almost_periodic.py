@@ -194,6 +194,16 @@ def test_sup_norm_lower_certified_at_60_digits(scale):
         assert ctx.mpf(low) <= sample_max
 
 
+def test_sup_norm_bounds_past_the_float_range():
+    with pytest.raises(ValueError, match="frequency out of float range"):
+        trig_generator(10**400).sup_norm_bounds()
+    # the frequency is a float but its sampled angles overflow: lower is 0
+    for f in (trig_generator(10**307), constant(1) + trig_generator(-(10**308))):
+        low, high = f.sup_norm_bounds()
+        assert low == 0.0
+        assert high == f.l1_bound()
+
+
 def test_haar_fourier_coefficients():
     assert haar_fourier(0) == 1
     assert haar_fourier(1) == 0

@@ -1,12 +1,16 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import rand_element, rand_fraction
+from helpers import rand_coeff, rand_element, rand_fraction
 from weylreps import (
     FiniteSupportVector,
+    WeylElement,
+    WeylIndex,
     OwnerMismatchError,
     continuity_scan,
     cyclic_vector,
@@ -14,6 +18,7 @@ from weylreps import (
     equivalence_check,
     generator,
     gns_apply,
+    gram_matrix,
     gns_inner,
     gns_norm,
     identity,
@@ -265,3 +270,71 @@ def test_equivalence_check_random_words():
 def test_equivalence_check_needs_words():
     with pytest.raises(ValueError):
         equivalence_check(0, [])
+
+
+def scaled_words(rng, n_words, scale):
+    """Seeded words of one to four terms over a 4x4 alphabet, |a|, |b| <= scale."""
+    a_vals = [rand_fraction(rng, scale) for _ in range(4)]
+    b_vals = [rand_fraction(rng, scale) for _ in range(4)]
+    alphabet = [(a, b) for a in a_vals for b in b_vals]
+    return [
+        WeylElement(
+            {WeylIndex(a, b): rand_coeff(rng) for a, b in rng.sample(alphabet, rng.randint(1, 4))}
+        )
+        for _ in range(n_words)
+    ]
+
+
+def scaled_vectors(seed, scale, n_words=10):
+    """(state, vectors) for a position, a momentum and the vacuum state."""
+    rng = random.Random(seed)
+    owners = (
+        position_state(rand_fraction(rng, scale)),
+        momentum_state(rand_fraction(rng, scale)),
+        vacuum_state(),
+    )
+    for state in owners:
+        omega = cyclic_vector(state)
+        yield state, [gns_apply(w, omega) for w in scaled_words(rng, n_words, scale)]
+
+
+SCALES = [10, 10**4, 10**8]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_inner_equals_the_product_route(scale):
+    nonzero = 0
+    for seed in range(3):
+        for state, vectors in scaled_vectors(seed, scale):
+            for u, v in itertools.product(vectors, repeat=2):
+                reference = state(u.word.adjoint() * v.word)
+                nonzero += reference != 0
+                assert abs(gns_inner(u, v) - reference) <= 1e-12
+    assert nonzero >= 300
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_inner_sharp_zeros_are_exact(scale):
+    disjoint = 0
+    for seed in range(3):
+        for state, vectors in scaled_vectors(seed, scale):
+            if state.kind == "vacuum":
+                continue
+            # a sharp state kills W(t - s) unless its broken label agrees
+            label = "b" if state.kind == "position" else "a"
+            supports = [{getattr(i, label) for i in v.word.terms} for v in vectors]
+            for i, j in itertools.product(range(len(vectors)), repeat=2):
+                if supports[i].isdisjoint(supports[j]):
+                    disjoint += 1
+                    value = gns_inner(vectors[i], vectors[j])
+                    assert value == 0 and type(value) is complex
+    assert disjoint > 0
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_gram_matrix_equals_inner_cell_by_cell(scale):
+    for seed in range(3):
+        for state, vectors in scaled_vectors(seed, scale):
+            g = gram_matrix(state, [v.word for v in vectors])
+            for i, j in itertools.product(range(len(vectors)), repeat=2):
+                assert abs(g[i, j] - gns_inner(vectors[i], vectors[j])) <= 1e-12

@@ -116,6 +116,20 @@ def test_finite_difference_error_halves_with_step():
     assert abs(e2 / e1 - 0.5) < 0.05
 
 
+def test_float_conversions_refuse_rationals_past_the_float_range():
+    with pytest.raises(ValueError, match="point out of float range"):
+        apply_Q(basis_vector(10**400))
+    with pytest.raises(ValueError, match="point out of float range"):
+        apply_P(basis_vector(-(10**400), MOMENTUM))
+    # a nonzero step whose float is 0.0 must not divide by zero
+    with pytest.raises(ValueError, match="1/step out of float range"):
+        finite_difference_generator(Fraction(1, 10**400), basis_vector(1))
+    with pytest.raises(ValueError, match="1/step out of float range"):
+        finite_difference_generator(Fraction(1, 10**400), basis_vector(1, MOMENTUM))
+    # a point whose float underflows is taken as 0, well inside the prune
+    assert not apply_Q(basis_vector(Fraction(1, 10**400)))
+
+
 def test_v_direction_matrix_element_is_exact_indicator():
     assert v_direction_matrix_element(0, 5) == 1
     assert v_direction_matrix_element(Fraction(1, 10**6), 5) == 0
