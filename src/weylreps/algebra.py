@@ -47,7 +47,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def as_float(value: Fraction, what: str = "rational") -> float:
+def as_float(value: Fraction, what: str) -> float:
     """``float(value)``, refusing a value past the float range.
 
     ``float`` raises ``OverflowError`` there; like :func:`phase`, the
