@@ -21,7 +21,6 @@ from .almost_periodic import (
     TrigPolynomial,
     constant,
     haar_fourier,
-    invariant_mean,
     momentum_fourier_witness,
     trig_generator,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "TrigPolynomial",
     "constant",
     "haar_fourier",
-    "invariant_mean",
     "momentum_fourier_witness",
     "trig_generator",
     "DEFAULT_PROBES",

@@ -107,11 +107,28 @@ def phase(theta: Union[Fraction, int, float]) -> complex:
     return cmath.exp(1j * (r / (1 << s)))
 
 
+def _modulus(key, c: complex) -> float:
+    """``abs(c)``, refusing with ``ValueError`` a value no map may hold.
+
+    That is a non-finite value, or a finite one whose modulus passes the
+    float range, such as ``complex(1.7e308, 1.7e308)``: ``abs`` raises
+    ``OverflowError`` for it.
+    """
+    try:
+        size = abs(c)
+    except OverflowError:
+        raise ValueError(f"coefficient modulus past the float range at {key}: {c!r}") from None
+    if not size < math.inf:  # inf, or nan
+        raise ValueError(f"non-finite coefficient at {key}: {c!r}")
+    return size
+
+
 class SparseMap:
     """Finitely supported map from exact keys to complex numbers, immutable.
 
     Equal keys are merged, values at or below ``PRUNE_TOL`` in modulus are
-    dropped, and a non-finite value is refused; ``_key`` coerces the keys.
+    dropped, and a non-finite value, or one whose modulus passes the float
+    range, is refused with ``ValueError``; ``_key`` coerces the keys.
     ``+``, ``-`` and scalar ``*`` build maps of the same kind with
     :meth:`_new`, which skips the merge their keys do not need.  ``==`` is
     exact; compare with tolerance through :meth:`max_coeff` of a difference.
@@ -127,12 +144,9 @@ class SparseMap:
             key_of = self._key
             items = data.items() if isinstance(data, Mapping) else data
             for key, value in items:
-                c = complex(value)
-                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise ValueError(f"non-finite coefficient at {key}: {value!r}")
                 key = key_of(key)
-                merged = clean.get(key, 0j) + c
-                if abs(merged) <= PRUNE_TOL:
+                merged = clean.get(key, 0j) + complex(value)
+                if _modulus(key, merged) <= PRUNE_TOL:
                     clean.pop(key, None)
                 else:
                     clean[key] = merged
@@ -143,16 +157,13 @@ class SparseMap:
 
         ``data`` is a fresh dict whose keys are already coerced and
         distinct, as every operation on maps in normal form builds it.  Of
-        the constructor's steps only two remain: the refusal of a
-        non-finite value and the prune at ``PRUNE_TOL``.
+        the constructor's steps only two remain: the refusal of a value no
+        map may hold and the prune at ``PRUNE_TOL``.
         """
         pruned = []
         for key, c in data.items():
-            size = abs(c)
-            if size <= PRUNE_TOL:
+            if _modulus(key, c) <= PRUNE_TOL:
                 pruned.append(key)
-            elif not size < math.inf:  # inf, or nan
-                raise ValueError(f"non-finite coefficient at {key}: {c!r}")
         for key in pruned:
             del data[key]
         new = object.__new__(type(self))

@@ -115,11 +115,6 @@ def constant(c) -> TrigPolynomial:
     return TrigPolynomial({Fraction(0): complex(c)})
 
 
-def invariant_mean(f: TrigPolynomial) -> complex:
-    """Module-level alias for :meth:`TrigPolynomial.invariant_mean`."""
-    return f.invariant_mean()
-
-
 def haar_fourier(a: RationalLike) -> complex:
     """Fourier coefficient of the invariant measure: 1 at frequency 0, else 0."""
     return (1.0 + 0j) if as_fraction(a) == 0 else 0j

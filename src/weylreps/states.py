@@ -147,7 +147,10 @@ def gram_matrix(
 
 
 def check_positivity(state: StateFunctional, basis: Sequence[WeylElement]) -> float:
-    """Minimum eigenvalue of the Gram matrix; >= -1e-10 for a valid state.
+    """Minimum eigenvalue of the Gram matrix.
+
+    For a valid state it is at least ``weylreps.verify.PSD_FLOOR``, the
+    floor that the ``gns`` suite and the acceptance tests check.
 
     Raises :class:`EigensolverError` if the eigensolver fails, so a broken
     iteration is never reported as a negative eigenvalue.

@@ -1,8 +1,10 @@
-"""Seeded property suites behind the ``verify`` command.
+"""Property registry behind the ``verify`` command and the acceptance tests.
 
-Each suite re-runs the defining invariants of one module with a seeded RNG
-and reports one line per property.  The suites are the command line twin of
-the pytest acceptance tests; both pin the same tolerances.
+Each property is one function that takes a seeded ``random.Random`` and its
+sample sizes and returns one :class:`CheckResult`; each tolerance is one
+named constant.  A suite is a fixed list of calls on one RNG.  ``states``
+arguments are a sharp-position, a sharp-momentum and the vacuum state, in
+that order; the oracle properties take the grid wavefunction they test.
 """
 
 from __future__ import annotations
@@ -12,9 +14,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import weylreps  # serves the grid oracle's names, loading numpy on first use
+
 from . import almost_periodic as ap
-from . import gns, reps, states
+from . import gns, reps
 from .algebra import WeylElement, WeylIndex, generator, identity, phase
+from .states import (VACUUM, StateFunctional, check_positivity, momentum_state,
+                     position_state, vacuum_state)
+
+EXACT_TOL = 1e-12  # a few float products and sums of unit-modulus phases
+SUM_TOL = 1e-10  # associativity of 3-term products; Cauchy-Schwarz excess
+NORM_TOL = 1e-9  # l1 submultiplicativity; squares of the sup-norm bounds
+PSD_FLOOR = -1e-10  # least Gram eigenvalue a state may show
+GRID_NORM_TOL = 1e-8  # ground state normalised on the default grid
+ORACLE_TOL = 1e-6  # Gaussian state formula against grid quadrature
+DISPERSION_TOL = 1e-3  # dispersion products against 1/2
+TONE_TOL = 2e-3  # truncated average of a pure tone at AVERAGE_N
+RATIO_TOL = 0.05  # halving ratios against 1/2
+
+AVERAGE_N = 1000.0  # half-length of the truncated averages
+
+States = Sequence[StateFunctional]
 
 
 @dataclass(frozen=True)
@@ -25,62 +45,73 @@ class CheckResult:
     detail: str
 
 
-def _rand_fraction(rng: random.Random, max_abs: int = 10, max_den: int = 12,
-                   nonzero: bool = False) -> Fraction:
+def rand_fraction(rng: random.Random, max_abs: int = 10, max_den: int = 12,
+                  nonzero: bool = False) -> Fraction:
     while True:
         den = rng.randint(1, max_den)
-        num = rng.randint(-max_abs * den, max_abs * den)
-        value = Fraction(num, den)
-        if nonzero and value == 0:
-            continue
-        return value
+        value = Fraction(rng.randint(-max_abs * den, max_abs * den), den)
+        if value or not nonzero:
+            return value
 
 
-def _rand_element(rng: random.Random, max_terms: int = 3) -> WeylElement:
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        index = WeylIndex(_rand_fraction(rng, 5, 6), _rand_fraction(rng, 5, 6))
-        terms[index] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return WeylElement(terms)
+def rand_coeff(rng: random.Random) -> complex:
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
 
-def _rand_trig(rng: random.Random, n_terms: int = 5,
-               with_constant: bool = True) -> ap.TrigPolynomial:
-    coeffs: dict[Fraction, complex] = {}
-    if with_constant:
-        coeffs[Fraction(0)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+def rand_element(rng: random.Random, max_terms: int = 3) -> WeylElement:
+    return WeylElement({
+        WeylIndex(rand_fraction(rng, 5, 6), rand_fraction(rng, 5, 6)): rand_coeff(rng)
+        for _ in range(rng.randint(1, max_terms))
+    })
+
+
+def rand_trig(rng: random.Random, n_terms: int) -> ap.TrigPolynomial:
+    coeffs = {Fraction(0): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))}
     while len(coeffs) < n_terms:
-        freq = _rand_fraction(rng, 3, 8, nonzero=True)
-        coeffs[freq] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        freq = rand_fraction(rng, 3, 8, nonzero=True)  # drawn before its coefficient
+        coeffs[freq] = rand_coeff(rng)
     return ap.TrigPolynomial(coeffs)
 
 
-def _algebra_suite(rng: random.Random) -> list[CheckResult]:
-    results = []
+def _rand_generator(rng: random.Random) -> WeylElement:
+    return generator(rand_fraction(rng), rand_fraction(rng))
 
+
+def _deviation(suite: str, name: str, dev: float, tol: float = EXACT_TOL,
+               label: str = "max deviation") -> CheckResult:
+    return CheckResult(suite, name, dev < tol, f"{label} {dev:.2e}")
+
+
+def _halves(values: Sequence[float]) -> bool:
+    """Each value is half the one before it, within RATIO_TOL."""
+    return all(abs(later / earlier - 0.5) < RATIO_TOL
+               for earlier, later in zip(values, values[1:]))
+
+
+def exchange_relation(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
-    for _ in range(200):
-        a = _rand_fraction(rng)
-        b = _rand_fraction(rng)
+    for _ in range(pairs):
+        a = rand_fraction(rng)
+        b = rand_fraction(rng)
         lhs = generator(a, 0) * generator(0, b)
         rhs = phase(-a * b) * (generator(0, b) * generator(a, 0))
         dev = max(dev, (lhs - rhs).max_coeff())
-    results.append(CheckResult(
-        "algebra", "exchange relation, 200 random rational pairs",
-        dev < 1e-12, f"max deviation {dev:.2e}"))
+    return _deviation("algebra", f"exchange relation, {pairs} random rational pairs", dev)
 
+
+def associativity(rng: random.Random, triples: int) -> CheckResult:
     dev = 0.0
-    for _ in range(50):
-        x, y, z = (_rand_element(rng) for _ in range(3))
+    for _ in range(triples):
+        x, y, z = (rand_element(rng) for _ in range(3))
         dev = max(dev, ((x * y) * z - x * (y * z)).max_coeff())
-    results.append(CheckResult(
-        "algebra", "associativity on random 3-term elements",
-        dev < 1e-10, f"max deviation {dev:.2e}"))
+    return _deviation("algebra", "associativity on random 3-term elements", dev, SUM_TOL)
 
+
+def star_laws(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
     index_ok = True
-    for _ in range(100):
-        x, y = _rand_element(rng), _rand_element(rng)
+    for _ in range(pairs):
+        x, y = rand_element(rng), rand_element(rng)
         lhs = (x * y).adjoint()
         rhs = y.adjoint() * x.adjoint()
         index_ok = index_ok and set(lhs.terms) == set(rhs.terms)
@@ -88,390 +119,467 @@ def _algebra_suite(rng: random.Random) -> list[CheckResult]:
         double = x.adjoint().adjoint()
         index_ok = index_ok and set(double.terms) == set(x.terms)
         dev = max(dev, (double - x).max_coeff())
-    results.append(CheckResult(
+    return CheckResult(
         "algebra", "star laws: (xy)* = y*x* and x** = x",
-        index_ok and dev < 1e-12, f"max deviation {dev:.2e}, indices exact: {index_ok}"))
+        index_ok and dev < EXACT_TOL, f"max deviation {dev:.2e}, indices exact: {index_ok}")
 
+
+def group_law(rng: random.Random, pairs: int) -> CheckResult:
     ok = True
     worst = 0.0
-    for _ in range(100):
-        a, b = _rand_fraction(rng), _rand_fraction(rng)
-        a2, b2 = _rand_fraction(rng), _rand_fraction(rng)
+    for _ in range(pairs):
+        a, b = rand_fraction(rng), rand_fraction(rng)
+        a2, b2 = rand_fraction(rng), rand_fraction(rng)
         product = generator(a, b) * generator(a2, b2)
         terms = dict(product.terms)
         ok = ok and list(terms) == [WeylIndex(a + a2, b + b2)]
         worst = max(worst, abs(abs(next(iter(terms.values()))) - 1.0))
-    results.append(CheckResult(
+    return CheckResult(
         "algebra", "group law: single product term with unit-modulus phase",
-        ok and worst < 1e-12, f"modulus off by {worst:.2e}"))
+        ok and worst < EXACT_TOL, f"modulus off by {worst:.2e}")
 
+
+def conjugation_identity(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
-    for _ in range(100):
-        a, b = _rand_fraction(rng), _rand_fraction(rng)
+    for _ in range(pairs):
+        a, b = rand_fraction(rng), rand_fraction(rng)
         left = generator(0, -b) * generator(a, 0) * generator(0, b)
         dev = max(dev, (left - phase(-a * b) * generator(a, 0)).max_coeff())
-    results.append(CheckResult(
-        "algebra", "conjugation identity V_-b U_a V_b = exp(-iab) U_a",
-        dev < 1e-12, f"max deviation {dev:.2e}"))
+    return _deviation("algebra", "conjugation identity V_-b U_a V_b = exp(-iab) U_a", dev)
 
+
+def l1_submultiplicative(rng: random.Random, pairs: int) -> CheckResult:
     worst = 0.0
-    for _ in range(50):
-        x, y = _rand_element(rng), _rand_element(rng)
+    for _ in range(pairs):
+        x, y = rand_element(rng), rand_element(rng)
         worst = max(worst, (x * y).l1_bound() - x.l1_bound() * y.l1_bound())
-    results.append(CheckResult(
+    return CheckResult(
         "algebra", "l1 bound submultiplicative",
-        worst <= 1e-9, f"worst excess {worst:.2e}"))
-
-    return results
+        worst <= NORM_TOL, f"worst excess {worst:.2e}")
 
 
-def _reps_suite(rng: random.Random) -> list[CheckResult]:
-    results = []
-
+def unitarity(rng: random.Random, vectors: int) -> CheckResult:
     dev = 0.0
     for flavor in reps.FLAVORS:
-        for _ in range(50):
-            a = _rand_fraction(rng)
+        for _ in range(vectors):
+            a = rand_fraction(rng)
             u = reps.FiniteSupportVector(
-                {_rand_fraction(rng): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                 for _ in range(3)}, flavor)
+                {rand_fraction(rng): rand_coeff(rng) for _ in range(3)}, flavor)
             v = reps.FiniteSupportVector(
-                {_rand_fraction(rng): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                 for _ in range(3)}, flavor)
+                {rand_fraction(rng): rand_coeff(rng) for _ in range(3)}, flavor)
             before = reps.inner(u, v)
             dev = max(dev, abs(reps.inner(reps.apply_U(a, u), reps.apply_U(a, v)) - before))
             dev = max(dev, abs(reps.inner(reps.apply_V(a, u), reps.apply_V(a, v)) - before))
-    results.append(CheckResult(
-        "reps", "unitarity: U and V preserve inner products, both flavors",
-        dev < 1e-12, f"max deviation {dev:.2e}"))
+    return _deviation("reps", "unitarity: U and V preserve inner products, both flavors", dev)
 
+
+def sharp_eigenvectors(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
     keys_ok = True
-    for _ in range(100):
-        a = _rand_fraction(rng)
-        lam = _rand_fraction(rng)
+    for _ in range(pairs):
+        a = rand_fraction(rng)
+        lam = rand_fraction(rng)
         moved = reps.apply_U(a, reps.basis_vector(lam))
         keys_ok = keys_ok and set(moved.amplitudes) == {lam}
         dev = max(dev, abs(moved.amplitudes[lam] - phase(a * lam)))
-    results.append(CheckResult(
+    return CheckResult(
         "reps", "sharp eigenvectors: U_a phi_x = exp(iax) phi_x",
-        keys_ok and dev < 1e-12, f"keys exact: {keys_ok}, phase off {dev:.2e}"))
+        keys_ok and dev < EXACT_TOL, f"keys exact: {keys_ok}, phase off {dev:.2e}")
 
+
+def basis_exchange_relation(rng: random.Random, triples: int,
+                            flavors: Sequence[str] = reps.FLAVORS) -> CheckResult:
     dev = 0.0
-    for flavor in reps.FLAVORS:
-        for _ in range(100):
+    for flavor in flavors:
+        for _ in range(triples):
             dev = max(dev, reps.weyl_relation_check(
-                _rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng), flavor))
-    results.append(CheckResult(
-        "reps", "exchange relation on random basis vectors, both flavors",
-        dev < 1e-12, f"max deviation {dev:.2e}"))
+                rand_fraction(rng), rand_fraction(rng), rand_fraction(rng), flavor))
+    which = "both flavors" if len(flavors) == 2 else f"{flavors[0]} flavor"
+    return _deviation("reps", f"exchange relation on random basis vectors, {which}", dev)
 
+
+def shifted_diagonal(rng: random.Random, shifts: int) -> CheckResult:
     exact = True
-    for _ in range(50):
-        b = _rand_fraction(rng, nonzero=True)
-        lam = _rand_fraction(rng)
+    for _ in range(shifts):
+        b = rand_fraction(rng, nonzero=True)
+        lam = rand_fraction(rng)
         exact = exact and reps.v_direction_matrix_element(b, lam) == 0
         exact = exact and reps.u_direction_matrix_element(b, lam) == 0
     exact = exact and reps.v_direction_matrix_element(Fraction(1, 10**6), Fraction(5)) == 0
     exact = exact and reps.v_direction_matrix_element(0, Fraction(5)) == 1
-    results.append(CheckResult(
+    return CheckResult(
         "reps", "diagonal elements of the shifted family: exact indicator of 0",
-        exact, "includes probe 1/1000000"))
+        exact, "includes probe 1/1000000")
 
+
+def finite_differences(rng: random.Random, points: int, halvings: int) -> CheckResult:
     ok = True
-    for _ in range(20):
-        lam = _rand_fraction(rng, nonzero=True)
-        phi = reps.basis_vector(lam)
+    for _ in range(points):
+        phi = reps.basis_vector(rand_fraction(rng, nonzero=True))
         target = reps.apply_Q(phi)
-        e_coarse = (reps.finite_difference_generator(Fraction(1, 256), phi) - target).norm()
-        e_fine = (reps.finite_difference_generator(Fraction(1, 512), phi) - target).norm()
-        ok = ok and abs(e_fine / e_coarse - 0.5) < 0.05
-    results.append(CheckResult(
+        errors = [(reps.finite_difference_generator(Fraction(1, 2**k), phi) - target).norm()
+                  for k in range(8, 9 + halvings)]
+        ok = ok and _halves(errors)
+    return CheckResult(
         "reps", "finite differences converge to the generator, first order",
-        ok, "halving the step halves the error (ratio 0.5 +/- 0.05)"))
+        ok, f"halving the step halves the error (ratio 0.5 +/- {RATIO_TOL})")
 
-    refused = False
-    try:
-        reps.apply_Q(reps.basis_vector(0, reps.MOMENTUM))
-    except reps.NonexistentObservableError:
-        refused = True
-    refused2 = False
-    try:
-        reps.apply_P(reps.basis_vector(0, reps.POSITION))
-    except reps.NonexistentObservableError:
-        refused2 = True
-    results.append(CheckResult(
+
+def typed_refusal() -> CheckResult:
+    refused = 0
+    for apply, flavor in ((reps.apply_Q, reps.MOMENTUM), (reps.apply_P, reps.POSITION)):
+        try:
+            apply(reps.basis_vector(0, flavor))
+        except reps.NonexistentObservableError:
+            refused += 1
+    return CheckResult(
         "reps", "typed refusal of the nonexistent generator, both flavors",
-        refused and refused2, "NonexistentObservableError raised"))
-
-    return results
+        refused == 2, "NonexistentObservableError raised")
 
 
-def _gns_suite(rng: random.Random) -> list[CheckResult]:
-    results = []
-    built = [states.position_state(Fraction(1)), states.momentum_state(Fraction(-2)),
-             states.vacuum_state()]
+def conjugation_chain(rng: random.Random, samples: int) -> CheckResult:
+    """The conjugation chain of the eigenvector proof, on sharp eigenvectors.
 
+    Literal on the momentum side, with the roles of U and V swapped on the
+    position side.  No suite runs it.
+    """
     dev = 0.0
-    for state in built:
+    for _ in range(samples):
+        a, b = rand_fraction(rng), rand_fraction(rng)
+        phi = reps.basis_vector(rand_fraction(rng), reps.MOMENTUM)
+        lhs = reps.inner(phi, reps.apply_V(-b, reps.apply_U(a, reps.apply_V(b, phi))))
+        dev = max(dev, abs(lhs - phase(a * b) * reps.inner(phi, reps.apply_U(a, phi))))
+        phi = reps.basis_vector(rand_fraction(rng))
+        lhs = reps.inner(phi, reps.apply_U(-a, reps.apply_V(b, reps.apply_U(a, phi))))
+        dev = max(dev, abs(lhs - phase(a * b) * reps.inner(phi, reps.apply_V(b, phi))))
+    return _deviation("reps", "conjugation chain on the sharp eigenvectors of both models", dev)
+
+
+def representation_property(rng: random.Random, states: States, pairs: int) -> CheckResult:
+    dev = 0.0
+    for state in states:
         omega = gns.cyclic_vector(state)
-        for _ in range(20):
-            x, y = _rand_element(rng), _rand_element(rng)
+        for _ in range(pairs):
+            x, y = rand_element(rng), rand_element(rng)
             direct = gns.gns_apply(x * y, omega)
             staged = gns.gns_apply(x, gns.gns_apply(y, omega))
             dev = max(dev, gns.gns_norm(direct - staged))
-    results.append(CheckResult(
-        "gns", "representation property pi(xy) = pi(x)pi(y) on the cyclic vector",
-        dev < 1e-12, f"max norm gap {dev:.2e}"))
+    return _deviation("gns", "representation property pi(xy) = pi(x)pi(y) on the cyclic vector",
+                      dev, label="max norm gap")
 
+
+def isometric_generators(rng: random.Random, states: States, vectors: int) -> CheckResult:
     dev = 0.0
-    for state in built:
+    for state in states:
         omega = gns.cyclic_vector(state)
-        for _ in range(20):
-            v = gns.gns_apply(_rand_element(rng), omega)
-            moved = gns.gns_apply(
-                generator(_rand_fraction(rng), _rand_fraction(rng)), v)
+        for _ in range(vectors):
+            v = gns.gns_apply(rand_element(rng), omega)
+            moved = gns.gns_apply(_rand_generator(rng), v)
             dev = max(dev, abs(gns.gns_norm(moved) - gns.gns_norm(v)))
-    results.append(CheckResult(
-        "gns", "generators act isometrically",
-        dev < 1e-12, f"max norm drift {dev:.2e}"))
+    return _deviation("gns", "generators act isometrically", dev, label="max norm drift")
 
+
+def cauchy_schwarz(rng: random.Random, states: States, pairs: int) -> CheckResult:
     worst = 0.0
-    for state in built:
+    for state in states:
         omega = gns.cyclic_vector(state)
-        for _ in range(20):
-            u = gns.gns_apply(_rand_element(rng), omega)
-            v = gns.gns_apply(_rand_element(rng), omega)
+        for _ in range(pairs):
+            u = gns.gns_apply(rand_element(rng), omega)
+            v = gns.gns_apply(rand_element(rng), omega)
             excess = abs(gns.gns_inner(u, v)) - gns.gns_norm(u) * gns.gns_norm(v)
             worst = max(worst, excess)
-    results.append(CheckResult(
+    return CheckResult(
         "gns", "Cauchy-Schwarz inequality",
-        worst <= 1e-10, f"worst excess {worst:.2e}"))
+        worst <= SUM_TOL, f"worst excess {worst:.2e}")
 
-    lam_probes = [_rand_fraction(rng) for _ in range(10)]
-    witnesses = [gns.eigenvector_witness(states.position_state(lam)) for lam in lam_probes]
-    witnesses += [gns.eigenvector_witness(states.momentum_state(lam)) for lam in lam_probes]
-    ok = all(w.passed for w in witnesses)
-    results.append(CheckResult(
+
+def eigenvector_witnesses(rng: random.Random, points: int) -> CheckResult:
+    lam_probes = [rand_fraction(rng) for _ in range(points)]
+    witnesses = [gns.eigenvector_witness(position_state(lam)) for lam in lam_probes]
+    witnesses += [gns.eigenvector_witness(momentum_state(lam)) for lam in lam_probes]
+    return CheckResult(
         "gns", "eigenvector obstruction witness, position and momentum",
-        ok, f"{len(witnesses)} witnesses, all diagonal elements exactly 0 away from 0"))
+        all(w.passed for w in witnesses),
+        f"{len(witnesses)} witnesses, all diagonal elements exactly 0 away from 0")
 
+
+def word_geometry(rng: random.Random, points: int, words: int) -> CheckResult:
     dev = 0.0
-    for _ in range(5):
-        lam = _rand_fraction(rng)
-        words = [_rand_element(rng) for _ in range(20)]
-        dev = max(dev, gns.equivalence_check(lam, words))
-    results.append(CheckResult(
-        "gns", "word geometry matches the sharp-point model",
-        dev < 1e-12, f"max inner-product gap {dev:.2e}"))
+    for _ in range(points):
+        lam = rand_fraction(rng)
+        dev = max(dev, gns.equivalence_check(lam, [rand_element(rng) for _ in range(words)]))
+    return _deviation("gns", "word geometry matches the sharp-point model", dev,
+                      label="max inner-product gap")
 
+
+def states_bounded(rng: random.Random, states: States, generators: int) -> CheckResult:
     normalised = True
     bounded = 0.0
-    for state in built:
-        normalised = normalised and abs(state(identity()) - 1) <= 1e-12
-        if state.kind != states.VACUUM:
+    for state in states:
+        normalised = normalised and abs(state(identity()) - 1) <= EXACT_TOL
+        if state.kind != VACUUM:
             normalised = normalised and state(identity()) == 1
-        for _ in range(50):
-            value = state(generator(_rand_fraction(rng), _rand_fraction(rng)))
-            bounded = max(bounded, abs(value) - 1.0)
-    results.append(CheckResult(
+        for _ in range(generators):
+            bounded = max(bounded, abs(state(_rand_generator(rng))) - 1.0)
+    return CheckResult(
         "gns", "states normalised and bounded by one on generators",
-        normalised and bounded <= 1e-12, f"worst modulus excess {bounded:.2e}"))
+        normalised and bounded <= EXACT_TOL, f"worst modulus excess {bounded:.2e}")
 
+
+def gram_positivity(rng: random.Random, states: States, bases: int) -> CheckResult:
     min_eig = 0.0
-    for state in built:
-        for _ in range(100):
-            basis = [generator(_rand_fraction(rng), _rand_fraction(rng))
-                     for _ in range(rng.randint(1, 8))]
-            min_eig = min(min_eig, states.check_positivity(state, basis))
-    results.append(CheckResult(
-        "gns", "Gram matrices positive semidefinite, 100 random bases per state",
-        min_eig >= -1e-10, f"min eigenvalue {min_eig:.2e}"))
+    for state in states:
+        for _ in range(bases):
+            basis = [_rand_generator(rng) for _ in range(rng.randint(1, 8))]
+            min_eig = min(min_eig, check_positivity(state, basis))
+    return CheckResult(
+        "gns", f"Gram matrices positive semidefinite, {bases} random bases per state",
+        min_eig >= PSD_FLOOR, f"min eigenvalue {min_eig:.2e}")
 
-    prints = [gns.regularity_fingerprint(s) for s in built]
+
+def regularity_fingerprints(states: States) -> CheckResult:
+    prints = [gns.regularity_fingerprint(s) for s in states]
     expected = [(True, False), (False, True), (True, True)]
-    results.append(CheckResult(
+    return CheckResult(
         "gns", "regularity fingerprints pairwise distinct",
-        prints == expected and len(set(prints)) == 3, f"{prints}"))
+        prints == expected and len(set(prints)) == 3, f"{prints}")
 
+
+def continuity_scans(states: States) -> CheckResult:
     grid = [Fraction(0), Fraction(1, 8), Fraction(1, 64)]
-    scan = gns.continuity_scan(built[0], "V", grid)
-    scan_ok = scan[0][1] == 1 and all(value == 0 for _, value in scan[1:])
-    scan = gns.continuity_scan(built[1], "U", grid)
-    scan_ok = scan_ok and scan[0][1] == 1 and all(value == 0 for _, value in scan[1:])
-    vac = states.vacuum_state()
+    scan_ok = True
+    for state, direction in zip(states, ("V", "U")):
+        scan = gns.continuity_scan(state, direction, grid)
+        scan_ok = scan_ok and scan[0][1] == 1 and all(value == 0 for _, value in scan[1:])
     vac_ok = True
     for t in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)):
         for direction in ("U", "V"):
-            (_, value), = gns.continuity_scan(vac, direction, [t])
+            (_, value), = gns.continuity_scan(states[2], direction, [t])
             vac_ok = vac_ok and abs(value - 1) <= 2 * float(t)
-    results.append(CheckResult(
+    return CheckResult(
         "gns", "scans: sharp states collapse to the indicator, vacuum stays continuous",
-        scan_ok and vac_ok, "broken-direction scans exactly {1 at 0, 0 elsewhere}"))
-
-    return results
+        scan_ok and vac_ok, "broken-direction scans exactly {1 at 0, 0 elsewhere}")
 
 
-def _ap_suite(rng: random.Random) -> list[CheckResult]:
-    from . import schrodinger
-
-    results = []
-
+def star_algebra(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
     star_ok = True
-    for _ in range(50):
-        f, g = _rand_trig(rng, 3), _rand_trig(rng, 3)
+    for _ in range(pairs):
+        f, g = rand_trig(rng, 3), rand_trig(rng, 3)
         dev = max(dev, ((f * g) - (g * f)).max_coeff())
         lhs = (f * g).conjugate()
         rhs = g.conjugate() * f.conjugate()
         star_ok = star_ok and set(lhs.coefficients) == set(rhs.coefficients)
         dev = max(dev, (lhs - rhs).max_coeff())
-    results.append(CheckResult(
+    return CheckResult(
         "ap", "commutative star algebra of characters",
-        star_ok and dev < 1e-12, f"max deviation {dev:.2e}"))
+        star_ok and dev < EXACT_TOL, f"max deviation {dev:.2e}")
 
+
+def mean_positive(rng: random.Random, polys: int) -> CheckResult:
     ok = True
-    for _ in range(50):
-        f = _rand_trig(rng, 4)
+    for _ in range(polys):
+        f = rand_trig(rng, 4)
         mean = (f.conjugate() * f).invariant_mean()
         ok = ok and mean.imag == 0.0 and mean.real >= 0.0
-    results.append(CheckResult(
+    return CheckResult(
         "ap", "mean of f* f is exactly real and nonnegative",
-        ok, "positivity of the invariant mean"))
+        ok, "positivity of the invariant mean")
 
+
+def mean_translation_invariant(rng: random.Random, polys: int) -> CheckResult:
     ok = True
-    for _ in range(50):
-        f = _rand_trig(rng, 4)
-        ok = ok and f.translate(_rand_fraction(rng)).invariant_mean() == f.invariant_mean()
-    results.append(CheckResult(
+    for _ in range(polys):
+        f = rand_trig(rng, 4)
+        ok = ok and f.translate(rand_fraction(rng)).invariant_mean() == f.invariant_mean()
+    return CheckResult(
         "ap", "translation invariance of the mean, exact",
-        ok, "frequency-0 coefficient untouched"))
+        ok, "frequency-0 coefficient untouched")
 
+
+def mean_truncation(rng: random.Random, polys: int) -> CheckResult:
     ok = True
-    for _ in range(20):
-        f = _rand_trig(rng, 5)
-        approx = schrodinger.mean_quadrature(f, 1000.0)
-        bound = schrodinger.truncation_bound(f, 1000.0) + 1e-6
-        ok = ok and abs(approx - f.invariant_mean()) <= bound
-    results.append(CheckResult(
+    for _ in range(polys):
+        f = rand_trig(rng, 5)
+        gap = abs(weylreps.mean_quadrature(f, AVERAGE_N) - f.invariant_mean())
+        ok = ok and gap <= weylreps.truncation_bound(f, AVERAGE_N)
+    return CheckResult(
         "ap", "exact mean matches the truncated average within the analytic bound",
-        ok, "20 random 5-term polynomials at N=1000"))
+        ok, f"{polys} random 5-term polynomials at N={AVERAGE_N:g}")
 
+
+def evaluation_multiplicative(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
-    for _ in range(50):
-        f, g = _rand_trig(rng, 3), _rand_trig(rng, 3)
-        x = _rand_fraction(rng)
+    for _ in range(pairs):
+        f, g = rand_trig(rng, 3), rand_trig(rng, 3)
+        x = rand_fraction(rng)
         dev = max(dev, abs((f * g).evaluate_at(x) - f.evaluate_at(x) * g.evaluate_at(x)))
-    results.append(CheckResult(
-        "ap", "evaluation functionals are multiplicative",
-        dev < 1e-12, f"max deviation {dev:.2e}"))
+    return _deviation("ap", "evaluation functionals are multiplicative", dev)
 
+
+def mean_kills_characters(rng: random.Random, chars: int) -> CheckResult:
     exact = all(
-        ap.trig_generator(_rand_fraction(rng, nonzero=True)).invariant_mean() == 0
-        and ap.haar_fourier(_rand_fraction(rng, nonzero=True)) == 0
-        for _ in range(50)
+        ap.trig_generator(rand_fraction(rng, nonzero=True)).invariant_mean() == 0
+        and ap.haar_fourier(rand_fraction(rng, nonzero=True)) == 0
+        for _ in range(chars)
     ) and ap.haar_fourier(0) == 1
-    results.append(CheckResult(
+    return CheckResult(
         "ap", "mean kills every nontrivial character, exactly",
-        exact, "Fourier data of the invariant measure"))
+        exact, "Fourier data of the invariant measure")
 
+
+def momentum_fourier(rng: random.Random, points: int, probes: int) -> CheckResult:
     ok = True
-    for _ in range(5):
-        lam = _rand_fraction(rng)
-        probes = [Fraction(0)] + [_rand_fraction(rng, nonzero=True) for _ in range(49)]
-        ok = ok and ap.momentum_fourier_witness(lam, probes).passed
-    results.append(CheckResult(
+    for _ in range(points):
+        lam = rand_fraction(rng)
+        shifts = [Fraction(0)] + [rand_fraction(rng, nonzero=True) for _ in range(probes - 1)]
+        ok = ok and ap.momentum_fourier_witness(lam, shifts).passed
+    return CheckResult(
         "ap", "momentum spectral data in a sharp-position vector equals the mean's",
-        ok, "5 points x 50 probes, exact equality"))
+        ok, f"{points} points x {probes} probes, exact equality")
 
+
+def sup_norm_brackets(rng: random.Random, polys: int) -> CheckResult:
     ok = True
-    for _ in range(20):
-        f = _rand_trig(rng, 4)
+    for _ in range(polys):
+        f = rand_trig(rng, 4)
         low, high = f.sup_norm_bounds()
         low2, high2 = (f.conjugate() * f).sup_norm_bounds()
-        ok = ok and low <= high + 1e-12 and low**2 <= high2 + 1e-9 and low2 <= high**2 + 1e-9
-    results.append(CheckResult(
+        ok = ok and low <= high + EXACT_TOL and low**2 <= high2 + NORM_TOL \
+            and low2 <= high**2 + NORM_TOL
+    return CheckResult(
         "ap", "certified sup-norm bounds bracket and square consistently",
-        ok, "lower <= sup <= l1; bounds of f*f vs square of bounds"))
-
-    return results
+        ok, "lower <= sup <= l1; bounds of f*f vs square of bounds")
 
 
-def _oracle_suite(rng: random.Random) -> list[CheckResult]:
-    from . import schrodinger
-
-    results = []
-    psi0 = schrodinger.gaussian_ground_state()
-
-    density_mean = abs(schrodinger.characteristic_function(psi0, 0, 0) - 1)
-    results.append(CheckResult(
+def ground_state_normalised(psi0) -> CheckResult:
+    off = abs(psi0.norm() - 1)
+    density_mean = abs(weylreps.characteristic_function(psi0, 0, 0) - 1)
+    return CheckResult(
         "oracle", "ground state normalised on the default grid",
-        abs(psi0.norm() - 1) < 1e-8 and density_mean < 1e-8,
-        f"norm off by {abs(psi0.norm() - 1):.2e}"))
+        off < GRID_NORM_TOL and density_mean < GRID_NORM_TOL, f"norm off by {off:.2e}")
 
+
+def vacuum_oracle(psi0) -> CheckResult:
     worst = 0.0
-    vac = states.vacuum_state()
+    vac = vacuum_state()
     for a in range(-2, 3):
         for b in range(-2, 3):
             formula = vac.generator_value(Fraction(a), Fraction(b))
-            quad = schrodinger.characteristic_function(psi0, a, b)
-            worst = max(worst, abs(formula - quad))
-    results.append(CheckResult(
+            worst = max(worst, abs(formula - weylreps.characteristic_function(psi0, a, b)))
+    return CheckResult(
         "oracle", "Gaussian state formula agrees with quadrature on the 5x5 grid",
-        worst <= 1e-6, f"max gap {worst:.2e}"))
+        worst <= ORACLE_TOL, f"max gap {worst:.2e}")
 
-    family = [
+
+def dispersion_family(psi0) -> CheckResult:
+    packet, superpose = weylreps.gaussian_packet, weylreps.superpose
+    gaussians = [
         psi0,
-        schrodinger.gaussian_packet(width=2.0),
-        schrodinger.gaussian_packet(width=0.5),
-        schrodinger.gaussian_packet(center=1.0),
-        schrodinger.gaussian_packet(center=-2.0),
-        schrodinger.gaussian_packet(momentum=1.0),
-        schrodinger.gaussian_packet(center=1.0, momentum=-1.0),
-        schrodinger.superpose(schrodinger.gaussian_packet(center=-1.0),
-                              schrodinger.gaussian_packet(center=1.0)),
-        schrodinger.superpose(schrodinger.gaussian_packet(center=-2.0),
-                              schrodinger.gaussian_packet(center=2.0)),
-        schrodinger.superpose(schrodinger.gaussian_packet(center=-1.5, momentum=1.0),
-                              schrodinger.gaussian_packet(center=1.5)),
+        packet(width=2.0),
+        packet(width=0.5),
+        packet(center=1.0),
+        packet(center=-2.0),
+        packet(momentum=1.0),
+        packet(center=1.0, momentum=-1.0),
     ]
-    products = [schrodinger.dispersion_product(psi) for psi in family]
-    lower_ok = all(p >= 0.5 - 1e-3 for p in products)
-    saturated = all(abs(p - 0.5) <= 1e-3 for p in products[:7])
-    results.append(CheckResult(
-        "oracle", "dispersion product >= 1/2 on the 10-member family",
+    bumps = [
+        superpose(packet(center=-1.0), packet(center=1.0)),
+        superpose(packet(center=-2.0), packet(center=2.0)),
+        superpose(packet(center=-1.5, momentum=1.0), packet(center=1.5)),
+    ]
+    products = [weylreps.dispersion_product(psi) for psi in gaussians + bumps]
+    lower_ok = all(p >= 0.5 - DISPERSION_TOL for p in products)
+    saturated = all(abs(p - 0.5) <= DISPERSION_TOL for p in products[:len(gaussians)])
+    return CheckResult(
+        "oracle", f"dispersion product >= 1/2 on the {len(products)}-member family",
         lower_ok and saturated,
-        f"min {min(products):.6f}, Gaussians saturate within 1e-3"))
+        f"min {min(products):.6f}, Gaussians saturate within 1e-3")
 
-    fine = schrodinger.gaussian_ground_state(count=2**16)
-    ratios_ok = True
-    eps = 0.125
-    while eps > 1.0 / 1024.0:
-        ratio = schrodinger.point_mass_probe(fine, 0.0, eps / 2) / \
-            schrodinger.point_mass_probe(fine, 0.0, eps)
-        ratios_ok = ratios_ok and abs(ratio - 0.5) < 0.05
-        eps /= 2
-    results.append(CheckResult(
+
+def point_localisation(psi) -> CheckResult:
+    weights = [weylreps.point_mass_probe(psi, 0.0, 2.0**-k) for k in range(3, 11)]
+    return CheckResult(
         "oracle", "point-localisation weight scales linearly down to 1/1024",
-        ratios_ok, "halving eps halves the weight (ratio 0.5 +/- 0.05)"))
+        _halves(weights), f"halving eps halves the weight (ratio 0.5 +/- {RATIO_TOL})")
 
-    monotone = True
-    values = [schrodinger.point_mass_probe(fine, 0.3, e)
-              for e in (0.5, 0.25, 0.125, 0.0625)]
-    monotone = all(x >= y for x, y in zip(values, values[1:]))
-    results.append(CheckResult(
+
+def localisation_monotone(psi) -> CheckResult:
+    values = [weylreps.point_mass_probe(psi, 0.3, e) for e in (0.5, 0.25, 0.125, 0.0625)]
+    return CheckResult(
         "oracle", "localisation weight monotone in the window size",
-        monotone, f"{[round(v, 6) for v in values]}"))
+        all(x >= y for x, y in zip(values, values[1:])), f"{[round(v, 6) for v in values]}")
 
-    one = ap.constant(1.0)
-    tone = ap.trig_generator(1)
-    ok = abs(schrodinger.mean_quadrature(one, 1000.0) - 1) < 1e-12 \
-        and abs(schrodinger.mean_quadrature(tone, 1000.0)) <= 2e-3
-    results.append(CheckResult(
+
+def truncated_averages() -> CheckResult:
+    ok = abs(weylreps.mean_quadrature(ap.constant(1.0), AVERAGE_N) - 1) < EXACT_TOL \
+        and abs(weylreps.mean_quadrature(ap.trig_generator(1), AVERAGE_N)) <= TONE_TOL
+    return CheckResult(
         "oracle", "truncated averages: constants exact, pure tones suppressed",
-        ok, "N=1000"))
+        ok, f"N={AVERAGE_N:g}")
 
-    return results
+
+def _algebra_suite(rng: random.Random) -> list[CheckResult]:
+    return [
+        exchange_relation(rng, pairs=200),
+        associativity(rng, triples=50),
+        star_laws(rng, pairs=100),
+        group_law(rng, pairs=100),
+        conjugation_identity(rng, pairs=100),
+        l1_submultiplicative(rng, pairs=50),
+    ]
+
+
+def _reps_suite(rng: random.Random) -> list[CheckResult]:
+    return [
+        unitarity(rng, vectors=50),
+        sharp_eigenvectors(rng, pairs=100),
+        basis_exchange_relation(rng, triples=100),
+        shifted_diagonal(rng, shifts=50),
+        finite_differences(rng, points=20, halvings=1),
+        typed_refusal(),
+    ]
+
+
+def _gns_suite(rng: random.Random) -> list[CheckResult]:
+    built = [position_state(Fraction(1)), momentum_state(Fraction(-2)), vacuum_state()]
+    return [
+        representation_property(rng, built, pairs=20),
+        isometric_generators(rng, built, vectors=20),
+        cauchy_schwarz(rng, built, pairs=20),
+        eigenvector_witnesses(rng, points=10),
+        word_geometry(rng, points=5, words=20),
+        states_bounded(rng, built, generators=50),
+        gram_positivity(rng, built, bases=100),
+        regularity_fingerprints(built),
+        continuity_scans(built),
+    ]
+
+
+def _ap_suite(rng: random.Random) -> list[CheckResult]:
+    return [
+        star_algebra(rng, pairs=50),
+        mean_positive(rng, polys=50),
+        mean_translation_invariant(rng, polys=50),
+        mean_truncation(rng, polys=20),
+        evaluation_multiplicative(rng, pairs=50),
+        mean_kills_characters(rng, chars=50),
+        momentum_fourier(rng, points=5, probes=50),
+        sup_norm_brackets(rng, polys=20),
+    ]
+
+
+def _oracle_suite(rng: random.Random) -> list[CheckResult]:
+    psi0 = weylreps.gaussian_ground_state()
+    fine = weylreps.gaussian_ground_state(count=2**16)
+    return [
+        ground_state_normalised(psi0),
+        vacuum_oracle(psi0),
+        dispersion_family(psi0),
+        point_localisation(fine),
+        localisation_monotone(fine),
+        truncated_averages(),
+    ]
 
 
 _SUITES: dict[str, Callable[[random.Random], list[CheckResult]]] = {

@@ -1,17 +1,12 @@
-"""Shared generators and hypothesis strategies for the test suite."""
-
-from __future__ import annotations
-
-import random
-from fractions import Fraction
+"""Shared generators (those of the ``verify`` suites) and hypothesis strategies."""
 
 import hypothesis.strategies as st
 
-from weylreps import TrigPolynomial, WeylElement, WeylIndex
+from weylreps import WeylElement
+from weylreps.verify import rand_coeff, rand_element, rand_fraction, rand_trig  # noqa: F401
 
 # rationals with |value| <= 10 and denominator <= 12
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
-nonzero_fractions_st = fractions_st.filter(lambda q: q != 0)
 
 coeff_st = st.complex_numbers(
     min_magnitude=0.01, max_magnitude=2.0, allow_nan=False, allow_infinity=False
@@ -20,42 +15,3 @@ coeff_st = st.complex_numbers(
 elements_st = st.dictionaries(
     st.tuples(fractions_st, fractions_st), coeff_st, min_size=1, max_size=3
 ).map(WeylElement)
-
-
-def rand_fraction(
-    rng: random.Random,
-    max_abs: int = 10,
-    max_den: int = 12,
-    nonzero: bool = False,
-) -> Fraction:
-    while True:
-        den = rng.randint(1, max_den)
-        num = rng.randint(-max_abs * den, max_abs * den)
-        value = Fraction(num, den)
-        if nonzero and value == 0:
-            continue
-        return value
-
-
-def rand_coeff(rng: random.Random) -> complex:
-    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-
-def rand_element(rng: random.Random, max_terms: int = 3) -> WeylElement:
-    return WeylElement(
-        {
-            WeylIndex(rand_fraction(rng, 5, 6), rand_fraction(rng, 5, 6)): rand_coeff(rng)
-            for _ in range(rng.randint(1, max_terms))
-        }
-    )
-
-
-def rand_trig(
-    rng: random.Random, n_terms: int = 5, with_constant: bool = True
-) -> TrigPolynomial:
-    coeffs: dict[Fraction, complex] = {}
-    if with_constant:
-        coeffs[Fraction(0)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    while len(coeffs) < n_terms:
-        coeffs[rand_fraction(rng, 3, 8, nonzero=True)] = rand_coeff(rng)
-    return TrigPolynomial(coeffs)

@@ -1,252 +1,89 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
-captured output of a failure) and then asserts.  Randomized sweeps are
-seeded so reruns are bit-identical.
+Each criterion runs properties from :mod:`weylreps.verify` with its own
+seed and sample counts, prints one PASS/FAIL line (visible with ``pytest
+-s`` or in the captured output of a failure) and then asserts.
 """
 
-import math
 import random
-from fractions import Fraction
 
-from helpers import rand_element, rand_fraction, rand_trig
-from weylreps import (
-    apply_U,
-    basis_vector,
-    characteristic_function,
-    check_positivity,
-    dispersion_product,
-    eigenvector_witness,
-    equivalence_check,
-    finite_difference_generator,
-    gaussian_ground_state,
-    gaussian_packet,
-    generator,
-    haar_fourier,
-    invariant_mean,
-    mean_quadrature,
-    momentum_fourier_witness,
-    momentum_state,
-    phase,
-    point_mass_probe,
-    position_state,
-    regularity_fingerprint,
-    superpose,
-    trig_generator,
-    truncation_bound,
-    vacuum_state,
-    v_direction_matrix_element,
-    weyl_relation_check,
-)
-from weylreps.reps import MOMENTUM, apply_Q, apply_V, inner
+from weylreps import gaussian_ground_state, momentum_state, position_state, vacuum_state, verify
+from weylreps.reps import POSITION
 
 SEED = 42
 
 
-def report(criterion: str, passed: bool) -> None:
+def report(criterion: str, *checks: verify.CheckResult) -> None:
+    passed = all(check.passed for check in checks)
     print(f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'}")
-    assert passed, criterion
+    assert passed, f"{criterion}: {[check for check in checks if not check.passed]}"
 
 
 def test_criterion_01_weyl_relation():
     rng = random.Random(SEED)
-    worst_algebra = 0.0
-    worst_model = 0.0
-    for _ in range(200):
-        a = rand_fraction(rng)
-        b = rand_fraction(rng)
-        lam = rand_fraction(rng)
-        lhs = generator(a, 0) * generator(0, b)
-        rhs = phase(-a * b) * (generator(0, b) * generator(a, 0))
-        worst_algebra = max(worst_algebra, (lhs - rhs).max_coeff())
-        worst_model = max(worst_model, weyl_relation_check(a, b, lam))
-    report(
-        "1. exchange relation < 1e-12 in the algebra and on basis vectors",
-        worst_algebra < 1e-12 and worst_model < 1e-12,
-    )
+    report("1. exchange relation < 1e-12 in the algebra and on basis vectors",
+           verify.exchange_relation(rng, pairs=200),
+           verify.basis_exchange_relation(rng, triples=200, flavors=(POSITION,)))
 
 
 def test_criterion_02_position_eigenstructure():
     rng = random.Random(SEED + 1)
-    keys_exact = True
-    worst_phase = 0.0
-    ratios_ok = True
-    for _ in range(50):
-        a = rand_fraction(rng)
-        lam = rand_fraction(rng)
-        moved = apply_U(a, basis_vector(lam))
-        keys_exact = keys_exact and set(moved.amplitudes) == {lam}
-        worst_phase = max(worst_phase, abs(moved.amplitudes[lam] - phase(a * lam)))
-    for _ in range(10):
-        lam = rand_fraction(rng, nonzero=True)
-        target = apply_Q(basis_vector(lam))
-        step = Fraction(1, 256)
-        previous = (finite_difference_generator(step, basis_vector(lam)) - target).norm()
-        for _ in range(3):
-            step /= 2
-            current = (
-                finite_difference_generator(step, basis_vector(lam)) - target
-            ).norm()
-            ratios_ok = ratios_ok and abs(current / previous - 0.5) < 0.05
-            previous = current
-    report(
-        "2. sharp eigenvectors exact on keys; finite differences halve with the step",
-        keys_exact and worst_phase < 1e-12 and ratios_ok,
-    )
+    report("2. sharp eigenvectors exact on keys; finite differences halve with the step",
+           verify.sharp_eigenvectors(rng, pairs=50),
+           verify.finite_differences(rng, points=10, halvings=3))
 
 
 def test_criterion_03_nonregularity():
-    rng = random.Random(SEED + 2)
-    shifts = [rand_fraction(rng, nonzero=True) for _ in range(49)]
-    shifts.append(Fraction(1, 10**6))
-    lam = rand_fraction(rng)
-    all_zero = all(v_direction_matrix_element(b, lam) == 0 for b in shifts)
-    at_zero = v_direction_matrix_element(0, lam) == 1
-    report(
-        "3. translated-family diagonal exactly 0 for 50 nonzero shifts (incl. 1e-6), 1 at 0",
-        all_zero and at_zero,
-    )
+    report("3. translated-family diagonal exactly 0 for 50 nonzero shifts (incl. 1e-6), 1 at 0",
+           verify.shifted_diagonal(random.Random(SEED + 2), shifts=49))
 
 
 def test_criterion_04_eigenvector_witness():
     rng = random.Random(SEED + 3)
-    witnesses_ok = True
-    for _ in range(10):
-        lam = rand_fraction(rng)
-        witnesses_ok = witnesses_ok and eigenvector_witness(position_state(lam)).passed
-        witnesses_ok = witnesses_ok and eigenvector_witness(momentum_state(lam)).passed
-
-    # conjugation chain hung on the sharp eigenvector of each explicit model:
-    # literally on the momentum side, with the roles swapped on the position side
-    chain_dev = 0.0
-    for _ in range(25):
-        a = rand_fraction(rng)
-        b = rand_fraction(rng)
-        mu = rand_fraction(rng)
-        phi = basis_vector(mu, MOMENTUM)
-        lhs = inner(phi, apply_V(-b, apply_U(a, apply_V(b, phi))))
-        rhs = phase(a * b) * inner(phi, apply_U(a, phi))
-        chain_dev = max(chain_dev, abs(lhs - rhs))
-        lam = rand_fraction(rng)
-        phi = basis_vector(lam)
-        lhs = inner(phi, apply_U(-a, apply_V(b, apply_U(a, phi))))
-        rhs = phase(a * b) * inner(phi, apply_V(b, phi))
-        chain_dev = max(chain_dev, abs(lhs - rhs))
-    report(
-        "4. eigenvector witness passes at 10 points per kind; proof chain < 1e-12",
-        witnesses_ok and chain_dev < 1e-12,
-    )
+    report("4. eigenvector witness passes at 10 points per kind; proof chain < 1e-12",
+           verify.eigenvector_witnesses(rng, points=10),
+           verify.conjugation_chain(rng, samples=25))
 
 
 def test_criterion_05_word_geometry_equals_point_model():
-    rng = random.Random(SEED + 4)
-    worst = 0.0
-    for _ in range(5):
-        lam = rand_fraction(rng)
-        words = [rand_element(rng) for _ in range(50)]
-        worst = max(worst, equivalence_check(lam, words))
-    report("5. cyclic word geometry matches the sharp-point model < 1e-12", worst < 1e-12)
+    report("5. cyclic word geometry matches the sharp-point model < 1e-12",
+           verify.word_geometry(random.Random(SEED + 4), points=5, words=50))
 
 
 def test_criterion_06_momentum_fourier_witness():
-    rng = random.Random(SEED + 5)
-    all_passed = True
-    for _ in range(5):
-        lam = rand_fraction(rng)
-        probes = [Fraction(0)] + [rand_fraction(rng, nonzero=True) for _ in range(49)]
-        witness = momentum_fourier_witness(lam, probes)
-        all_passed = all_passed and witness.passed
-        all_passed = all_passed and all(
-            measured == haar_fourier(a) for a, measured, _ in witness.rows
-        )
     report("6. momentum spectral Fourier data equals the invariant measure's, exactly",
-           all_passed)
+           verify.momentum_fourier(random.Random(SEED + 5), points=5, probes=50))
 
 
 def test_criterion_07_invariant_mean():
     rng = random.Random(SEED + 6)
-    within_bound = True
-    for _ in range(20):
-        f = rand_trig(rng, 5)
-        gap = abs(mean_quadrature(f, 1000.0) - invariant_mean(f))
-        within_bound = within_bound and gap <= truncation_bound(f, 1000.0)
-    kills_characters = all(
-        invariant_mean(trig_generator(rand_fraction(rng, nonzero=True))) == 0
-        for _ in range(50)
-    )
-    report(
-        "7. exact mean within the analytic truncation bound; characters killed exactly",
-        within_bound and kills_characters,
-    )
+    report("7. exact mean within the analytic truncation bound; characters killed exactly",
+           verify.mean_truncation(rng, polys=20),
+           verify.mean_kills_characters(rng, chars=50))
 
 
 def test_criterion_08_vacuum_oracle_agreement():
-    psi0 = gaussian_ground_state()
-    omega = vacuum_state()
-    worst = 0.0
-    for a in (-2, -1, 0, 1, 2):
-        for b in (-2, -1, 0, 1, 2):
-            formula = omega(generator(a, b))
-            quadrature = characteristic_function(psi0, a, b)
-            worst = max(worst, abs(formula - quadrature))
     report("8. Gaussian state formula vs quadrature oracle <= 1e-6 on the 5x5 grid",
-           worst <= 1e-6)
+           verify.vacuum_oracle(gaussian_ground_state()))
 
 
 def test_criterion_09_dispersion_bound():
-    gaussians = [
-        gaussian_ground_state(),
-        gaussian_packet(width=2.0),
-        gaussian_packet(width=0.5),
-        gaussian_packet(center=1.0),
-        gaussian_packet(center=-2.0),
-        gaussian_packet(momentum=1.0),
-        gaussian_packet(center=1.0, momentum=-1.0),
-    ]
-    bumps = [
-        superpose(gaussian_packet(center=-1.0), gaussian_packet(center=1.0)),
-        superpose(gaussian_packet(center=-2.0), gaussian_packet(center=2.0)),
-        superpose(gaussian_packet(center=-1.5, momentum=1.0),
-                  gaussian_packet(center=1.5)),
-    ]
-    products = [dispersion_product(psi) for psi in gaussians + bumps]
-    above = all(p >= 0.5 - 1e-3 for p in products)
-    saturated = all(abs(dispersion_product(psi) - 0.5) <= 1e-3 for psi in gaussians)
     report("9. dispersion product >= 1/2 - 1e-3 on the family; Gaussians saturate",
-           above and saturated)
+           verify.dispersion_family(gaussian_ground_state()))
 
 
 def test_criterion_10_point_localisation_scaling():
-    psi0 = gaussian_ground_state(count=2**16)
-    ratios_ok = True
-    eps = 0.125
-    while eps > 1.0 / 1024.0:
-        ratio = point_mass_probe(psi0, 0.0, eps / 2) / point_mass_probe(psi0, 0.0, eps)
-        ratios_ok = ratios_ok and abs(ratio - 0.5) < 0.05
-        eps /= 2
-    report("10. point weight halves with eps from 1/8 down to 1/1024", ratios_ok)
+    report("10. point weight halves with eps from 1/8 down to 1/1024",
+           verify.point_localisation(gaussian_ground_state(count=2**16)))
 
 
 def test_criterion_11_gram_positivity():
-    rng = random.Random(SEED + 7)
-    min_eig = 0.0
-    for state in (position_state(1), momentum_state(Fraction(-2)), vacuum_state()):
-        for _ in range(100):
-            basis = [
-                generator(rand_fraction(rng), rand_fraction(rng))
-                for _ in range(rng.randint(1, 8))
-            ]
-            min_eig = min(min_eig, check_positivity(state, basis))
+    states = (position_state(1), momentum_state(-2), vacuum_state())
     report("11. min Gram eigenvalue >= -1e-10 for 100 seeded bases per state",
-           min_eig >= -1e-10)
+           verify.gram_positivity(random.Random(SEED + 7), states, bases=100))
 
 
 def test_criterion_12_regularity_fingerprints():
-    prints = [
-        regularity_fingerprint(position_state(0)),
-        regularity_fingerprint(momentum_state(0)),
-        regularity_fingerprint(vacuum_state()),
-    ]
-    expected = [(True, False), (False, True), (True, True)]
+    states = (position_state(0), momentum_state(0), vacuum_state())
     report("12. regularity fingerprints (U,V) per state, pairwise distinct",
-           prints == expected and len(set(prints)) == 3)
+           verify.regularity_fingerprints(states))

@@ -312,6 +312,20 @@ def test_fast_path_refuses_non_finite_values():
         generator(1, 2) * complex("nan")
 
 
+def test_coefficient_modulus_past_the_float_range_is_refused():
+    # finite parts whose modulus overflows: abs() raises OverflowError
+    big = complex(1.7e308, 1.7e308)
+    with pytest.raises(ValueError, match="float range"):
+        WeylElement({(0, 0): big})
+    with pytest.raises(ValueError, match="float range"):
+        generator(0, 0) * big
+
+
+def test_constructor_refuses_a_merge_that_overflows():
+    with pytest.raises(ValueError, match="non-finite"):
+        WeylElement([((0, 0), 1e308), ((0, 0), 1e308)])
+
+
 def test_fast_path_prunes_at_the_tolerance():
     g = generator(1, 0)
     x, y = (3 * PRUNE_TOL) * g, (2.5 * PRUNE_TOL) * g

@@ -11,7 +11,6 @@ from weylreps import (
     TrigPolynomial,
     constant,
     haar_fourier,
-    invariant_mean,
     mean_quadrature,
     momentum_fourier_witness,
     trig_generator,
@@ -45,13 +44,13 @@ def test_four_term_expansion_collects_constant():
 
 
 def test_mean_of_characters():
-    assert invariant_mean(trig_generator(Fraction(5, 7))) == 0
-    assert invariant_mean(constant(3)) == 3
+    assert trig_generator(Fraction(5, 7)).invariant_mean() == 0
+    assert constant(3).invariant_mean() == 3
 
 
 def test_mean_reads_off_constant_coefficient():
     f = constant(2) + 5 * trig_generator(Fraction(1, 2)) + (-1j) * trig_generator(-3)
-    assert invariant_mean(f) == 2
+    assert f.invariant_mean() == 2
     # quadrature cross-check at a long truncation
     assert abs(mean_quadrature(f, 10_000.0) - 2) <= 1e-2
 
@@ -86,7 +85,7 @@ def test_mean_positive_on_squares():
     rng = random.Random(19)
     for _ in range(50):
         f = rand_trig(rng, 4)
-        mean = invariant_mean(f.conjugate() * f)
+        mean = (f.conjugate() * f).invariant_mean()
         assert mean.imag == 0
         assert mean.real >= 0
         expected = math.fsum(abs(c) ** 2 for c in f.coefficients.values())
@@ -98,7 +97,7 @@ def test_translation_invariance_exact():
     for _ in range(50):
         f = rand_trig(rng, 4)
         t = rand_fraction(rng)
-        assert invariant_mean(f.translate(t)) == invariant_mean(f)
+        assert f.translate(t).invariant_mean() == f.invariant_mean()
 
 
 def test_translate_is_evaluation_shift():
@@ -215,7 +214,7 @@ def test_mean_vs_quadrature_within_analytic_bound():
     for _ in range(20):
         f = rand_trig(rng, 5)
         approx = mean_quadrature(f, 1000.0)
-        assert abs(approx - invariant_mean(f)) <= truncation_bound(f, 1000.0) + 1e-6
+        assert abs(approx - f.invariant_mean()) <= truncation_bound(f, 1000.0) + 1e-6
 
 
 def test_fourier_witness_trivial_probe():

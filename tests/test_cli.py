@@ -197,6 +197,18 @@ def test_missing_file_exits_2(capsys):
     assert main(["product", "/nonexistent/a.json", "/nonexistent/b.json"]) == 2
 
 
+def test_eval_state_overflowing_coefficient_exits_2(tmp_path):
+    element = write_json(
+        tmp_path / "big.json", [{"a": "0", "b": "0", "re": 1.7e308, "im": 1.7e308}]
+    )
+    proc = run_fresh("-m", "weylreps.cli", "eval-state", "--state", "vacuum", element)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture()
 def poly_file(tmp_path):
     return write_json(

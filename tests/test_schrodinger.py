@@ -19,6 +19,7 @@ from weylreps import (
     point_mass_probe,
     superpose,
     trig_generator,
+    truncation_bound,
 )
 
 
@@ -137,6 +138,19 @@ def test_mean_quadrature_pure_tone_suppressed():
 def test_mean_quadrature_two_terms():
     f = constant(2) + trig_generator(Fraction(1, 2))
     assert mean_quadrature(f, 1000.0) == pytest.approx(2, abs=5e-3)
+
+
+CONVERGENCE_SAMPLE = TrigPolynomial(
+    {Fraction(0): 2.0, Fraction(1, 2): 5.0, Fraction(-3): -1j, Fraction(7, 4): 0.25 + 0.25j}
+)
+
+
+@pytest.mark.parametrize("n", [10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0])
+def test_mean_quadrature_converges_inside_the_envelope(n):
+    # the analytic envelope sum_j 2|c_j| / (|a_j| N), with no slack
+    exact = CONVERGENCE_SAMPLE.invariant_mean()
+    gap = abs(mean_quadrature(CONVERGENCE_SAMPLE, n) - exact)
+    assert gap <= truncation_bound(CONVERGENCE_SAMPLE, n)
 
 
 def test_mean_quadrature_validates_n():
