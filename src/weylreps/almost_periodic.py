@@ -112,7 +112,7 @@ def trig_generator(a: RationalLike) -> TrigPolynomial:
 
 
 def constant(c) -> TrigPolynomial:
-    return TrigPolynomial({Fraction(0): complex(c)})
+    return TrigPolynomial({Fraction(0): c})
 
 
 def haar_fourier(a: RationalLike) -> complex:

@@ -19,11 +19,12 @@ reported.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import RationalLike, WeylElement, WeylIndex, as_fraction, phase
+from .algebra import RationalLike, WeylElement, WeylIndex, as_fraction, phase_ratio
 from .reps import MOMENTUM, POSITION
 
 # numpy is imported inside the two functions that compute with it, so
@@ -54,21 +55,35 @@ class StateFunctional:
         if self.kind != VACUUM and self.parameter is None:
             raise ValueError(f"{self.kind} state needs a rational parameter")
 
-    def generator_value(self, a: Fraction, b: Fraction) -> complex:
+    def generator_value(self, a: RationalLike, b: RationalLike) -> complex:
         """Value on the single generator W(a, b)."""
+        a, b = as_fraction(a), as_fraction(b)
+        return self._lattice_value(a.numerator * b.denominator, b.numerator * a.denominator,
+                                   a.denominator * b.denominator)
+
+    def _lattice_value(self, pa: int, pb: int, q: int) -> complex:
+        """Value on W(pa/q, pb/q), for q > 0 and any common factor of the three.
+
+        The sharp states' zeros are decided exactly on the integers, and
+        every float is a correctly rounded quotient, so the value does not
+        depend on the common factor.
+        """
         if self.kind == POSITION:
-            if b == 0:
-                return phase(a * self.parameter)
+            if pb == 0:
+                lam = self.parameter
+                return phase_ratio(pa * lam.numerator, q * lam.denominator)
             return 0j
         if self.kind == MOMENTUM:
-            if a == 0:
-                return phase(b * self.parameter)
+            if pa == 0:
+                mu = self.parameter
+                return phase_ratio(pb * mu.numerator, q * mu.denominator)
             return 0j
         # vacuum: normal-ordering phase times the Gaussian envelope, which
         # damps the float angle's error to (|ab|/2) 2**-53 e^{-(a^2+b^2)/4}
         # <= 2**-53/e, and is exactly 0 past the float range of a^2 + b^2
+        qq = q * q
         try:
-            return cmath.exp(complex(-float(a * a + b * b) / 4.0, -float(a * b) / 2.0))
+            return cmath.exp(complex(-((pa * pa + pb * pb) / qq) / 4.0, -((pa * pb) / qq) / 2.0))
         except OverflowError:
             return 0j
 
@@ -79,21 +94,28 @@ class StateFunctional:
 
             W(s)* W(t) = exp(i (a_s - a_t) b_s) W(t - s)
 
-        so this is one phase times one generator value.  The phase is taken
-        only where the value is nonzero, so a sharp state's zeros are
-        decided exactly on the rational labels.
+        so this is one phase times one generator value, both on the labels'
+        integers over a common denominator.  The phase is taken only where
+        the value is nonzero, so a sharp state's zeros are decided exactly.
         """
-        a = t.a - s.a
-        value = self.generator_value(a, t.b - s.b)
+        qs, qt = s._q, t._q
+        if qs == qt:
+            q, da, db = qs, t._pa - s._pa, t._pb - s._pb
+        else:
+            g = math.gcd(qs, qt)
+            ms, mt = qt // g, qs // g
+            q, da, db = qs * ms, t._pa * mt - s._pa * ms, t._pb * mt - s._pb * ms
+        value = self._lattice_value(da, db, q)
         if value:
-            return phase(-a * s.b) * value
+            return phase_ratio(-da * s._pb, q * qs) * value
         return value
 
     def __call__(self, element: WeylElement) -> complex:
         """Linear extension of the generator rule."""
+        value = self._lattice_value
         total = 0j
         for index, coeff in element.terms.items():
-            total += coeff * self.generator_value(index.a, index.b)
+            total += coeff * value(index._pa, index._pb, index._q)
         return total
 
     def __repr__(self) -> str:

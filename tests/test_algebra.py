@@ -321,6 +321,26 @@ def test_coefficient_modulus_past_the_float_range_is_refused():
         generator(0, 0) * big
 
 
+def test_int_coefficient_or_scalar_past_the_float_range_is_refused():
+    # complex() of such an int raises OverflowError; a map refuses it
+    huge = 10**400
+    with pytest.raises(ValueError, match="float range"):
+        WeylElement({(0, 0): huge})
+    with pytest.raises(ValueError, match="float range"):
+        generator(0, 0) * huge
+    with pytest.raises(ValueError, match="float range"):
+        huge * generator(0, 0)
+    with pytest.raises(ValueError, match="float range"):
+        TrigPolynomial({0: huge})
+    # in range, a scalar scales each coefficient as ``c * scalar`` does, bit for bit
+    x = generator(1, 2) + (0.3 - 0.7j) * generator(-1, Fraction(1, 3))
+    for scalar in (3, -(2**60), 10**300, -0.5, 2.5, True):
+        expected = [(k, repr(c * scalar)) for k, c in x.terms.items()
+                    if abs(c * scalar) > PRUNE_TOL]
+        for scaled in (x * scalar, scalar * x):
+            assert [(k, repr(c)) for k, c in scaled.terms.items()] == expected
+
+
 def test_constructor_refuses_a_merge_that_overflows():
     with pytest.raises(ValueError, match="non-finite"):
         WeylElement([((0, 0), 1e308), ((0, 0), 1e308)])

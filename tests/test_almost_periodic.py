@@ -16,6 +16,7 @@ from weylreps import (
     trig_generator,
     truncation_bound,
 )
+from weylreps.verify import AVERAGE_N, EXACT_TOL, NORM_TOL
 
 trig_st = st.dictionaries(
     fractions_st,
@@ -132,10 +133,10 @@ def test_sup_norm_bounds_bracket():
     for _ in range(20):
         f = rand_trig(rng, 4)
         low, high = f.sup_norm_bounds()
-        assert low <= high + 1e-12
+        assert low <= high + EXACT_TOL
         low2, high2 = (f.conjugate() * f).sup_norm_bounds()
-        assert low**2 <= high2 + 1e-9
-        assert low2 <= high**2 + 1e-9
+        assert low**2 <= high2 + NORM_TOL
+        assert low2 <= high**2 + NORM_TOL
 
 
 def _scaled_trig(rng: random.Random, scale: int, n_terms: int = 4) -> TrigPolynomial:
@@ -213,8 +214,8 @@ def test_mean_vs_quadrature_within_analytic_bound():
     rng = random.Random(59)
     for _ in range(20):
         f = rand_trig(rng, 5)
-        approx = mean_quadrature(f, 1000.0)
-        assert abs(approx - f.invariant_mean()) <= truncation_bound(f, 1000.0) + 1e-6
+        approx = mean_quadrature(f, AVERAGE_N)
+        assert abs(approx - f.invariant_mean()) <= truncation_bound(f, AVERAGE_N)
 
 
 def test_fourier_witness_trivial_probe():

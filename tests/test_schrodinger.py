@@ -21,6 +21,7 @@ from weylreps import (
     trig_generator,
     truncation_bound,
 )
+from weylreps.verify import AVERAGE_N, RATIO_TOL, TONE_TOL
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ def test_point_mass_probe_against_error_function(psi0_fine):
 def test_point_mass_probe_halves_with_eps(psi0_fine):
     v1 = point_mass_probe(psi0_fine, 0.0, 0.125)
     v2 = point_mass_probe(psi0_fine, 0.0, 0.0625)
-    assert abs(v2 / v1 - 0.5) < 0.05
+    assert abs(v2 / v1 - 0.5) < RATIO_TOL
 
 
 def test_point_mass_probe_tail(psi0_fine):
@@ -132,7 +133,7 @@ def test_mean_quadrature_constant():
 
 
 def test_mean_quadrature_pure_tone_suppressed():
-    assert abs(mean_quadrature(trig_generator(1), 1000.0)) <= 2e-3
+    assert abs(mean_quadrature(trig_generator(1), AVERAGE_N)) <= TONE_TOL
 
 
 def test_mean_quadrature_two_terms():
