@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from . import gns, serialize
 from .algebra import as_fraction
-from .reps import MOMENTUM, POSITION
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -108,15 +107,10 @@ def _cmd_gns_build(args) -> int:
         "norms": [gns.gns_norm(v) for v in vectors],
         "gram": gram,
     }
-    if state.kind in (POSITION, MOMENTUM):
-        reduce = gns.reduce_position if state.kind == POSITION else gns.reduce_momentum
-        out["reductions"] = [
-            [
-                {"shift": str(key), "re": amp.real, "im": amp.imag}
-                for key, amp in sorted(reduce(v).amplitudes.items())
-            ]
-            for v in vectors
-        ]
+    reduced = [gns._reduction(v) for v in vectors]
+    if reduced[0] is not None:  # a sharp state
+        out["reductions"] = [[{"shift": str(key), "re": amp.real, "im": amp.imag}
+                              for key, amp in sorted(r.amplitudes.items())] for r in reduced]
     json.dump(out, sys.stdout)
     sys.stdout.write("\n")
     return 0

@@ -17,6 +17,9 @@ The module also packages the two executable obstruction facts:
 * :func:`is_regular_direction` / :func:`regularity_fingerprint` - the
   structural continuity verdict per direction, which separates the three
   built-in states pairwise.
+
+Both read one table, ``states.BROKEN_DIRECTION``: the family in which each
+sharp state is broken, the one that translates its point model.
 """
 
 from __future__ import annotations
@@ -44,10 +47,8 @@ from .reps import (
     basis_vector,
     inner,
 )
-from .states import VACUUM, StateFunctional
-
-U_DIRECTION = "U"
-V_DIRECTION = "V"
+from .states import (BROKEN_DIRECTION, U_DIRECTION, V_DIRECTION, StateFunctional,
+                     position_state)
 
 #: default probe parameters for witnesses and scans
 DEFAULT_PROBES: Tuple[Fraction, ...] = (
@@ -140,10 +141,24 @@ def is_null(v: GnsVector) -> bool:
     position/momentum states the canonical reduction is exact (unit phases
     cancel bit-for-bit on equal keys), so nullity means an empty reduction.
     """
-    if v.owner.kind == VACUUM:
+    reduced = _reduction(v)
+    if reduced is None:
         return gns_inner(v, v).real < 1e-12
-    reduced = reduce_position(v) if v.owner.kind == POSITION else reduce_momentum(v)
     return not reduced
+
+
+def _reduction(v: GnsVector) -> Optional[FiniteSupportVector]:
+    """Canonical reduction over a sharp state; None over the vacuum.
+
+    The reducers are looked up as module globals on each call, so a wrapper
+    bound to ``gns.reduce_position`` or ``gns.reduce_momentum`` sees it.
+    """
+    kind = v.owner.kind
+    if kind == POSITION:
+        return reduce_position(v)
+    if kind == MOMENTUM:
+        return reduce_momentum(v)
+    return None
 
 
 def reduce_position(v: GnsVector) -> FiniteSupportVector:
@@ -174,49 +189,45 @@ def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
     return FiniteSupportVector(out, MOMENTUM)
 
 
+def _direction(direction: str) -> str:
+    direction = direction.upper()
+    if direction not in (U_DIRECTION, V_DIRECTION):
+        raise ValueError(f"direction must be 'U' or 'V', got {direction!r}")
+    return direction
+
+
+def _family_generator(direction: str, t: Fraction) -> WeylElement:
+    return generator(t, 0) if direction == U_DIRECTION else generator(0, t)
+
+
 def continuity_scan(
     state: StateFunctional,
     direction: str,
     grid: Sequence[RationalLike],
 ) -> list[Tuple[Fraction, complex]]:
     """Diagonal matrix elements t -> <cyclic, G_t cyclic> along one family."""
-    direction = direction.upper()
-    if direction not in (U_DIRECTION, V_DIRECTION):
-        raise ValueError(f"direction must be 'U' or 'V', got {direction!r}")
+    direction = _direction(direction)
     if not grid:
         raise ValueError("grid must be non-empty")
-    rows = []
-    for t in grid:
-        t = as_fraction(t)
-        element = generator(t, 0) if direction == U_DIRECTION else generator(0, t)
-        rows.append((t, state(element)))
-    return rows
+    points = [as_fraction(t) for t in grid]
+    return [(t, state(_family_generator(direction, t))) for t in points]
 
 
 def is_regular_direction(state: StateFunctional, direction: str) -> bool:
     """Structural continuity verdict for one unitary family.
 
-    Decided from the exact generator-value rules: a direction is regular
-    exactly when the diagonal values do not collapse to the indicator of 0.
-    Sharp position kills the V family and sharp momentum the U family; the
-    Gaussian vacuum is continuous in both.
+    A direction is regular exactly when the diagonal values do not collapse
+    to the indicator of 0.  The sharp states collapse along the family in
+    ``states.BROKEN_DIRECTION`` (V for position, U for momentum); the
+    Gaussian vacuum is in no row of it and is continuous in both.
     """
-    direction = direction.upper()
-    if direction not in (U_DIRECTION, V_DIRECTION):
-        raise ValueError(f"direction must be 'U' or 'V', got {direction!r}")
-    if state.kind == POSITION:
-        return direction == U_DIRECTION
-    if state.kind == MOMENTUM:
-        return direction == V_DIRECTION
-    return True
+    return BROKEN_DIRECTION.get(state.kind) != _direction(direction)
 
 
 def regularity_fingerprint(state: StateFunctional) -> Tuple[bool, bool]:
-    """(U regular, V regular); distinct per built-in state kind."""
-    return (
-        is_regular_direction(state, U_DIRECTION),
-        is_regular_direction(state, V_DIRECTION),
-    )
+    """(U regular, V regular), read from ``states.BROKEN_DIRECTION``;
+    distinct per built-in state kind."""
+    return is_regular_direction(state, U_DIRECTION), is_regular_direction(state, V_DIRECTION)
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,7 @@ class EigenvectorWitness:
                                elements on the explicit point model, compared
                                against the phase times the diagonal element -
                                consistent only because the latter vanishes.
-    ``broken_elements``        diagonal elements of the broken family, which
+    ``broken_elements``        continuity scan of the broken family, which
                                must be exactly 0 away from parameter 0.
     """
 
@@ -266,54 +277,36 @@ def eigenvector_witness(
     state: StateFunctional,
     probes: Optional[Sequence[RationalLike]] = None,
 ) -> EigenvectorWitness:
-    """Verify the eigenvector obstruction for a sharp position/momentum state."""
-    if state.kind not in (POSITION, MOMENTUM):
+    """Verify the eigenvector obstruction for a sharp position/momentum state.
+
+    The cyclic vector is an eigenvector of the regular family, and the
+    family in ``states.BROKEN_DIRECTION`` is scanned.
+    """
+    broken = BROKEN_DIRECTION.get(state.kind)
+    if broken is None:
         raise ValueError("witness applies to position or momentum states only")
+    regular = U_DIRECTION if broken == V_DIRECTION else V_DIRECTION
     probe_list = [as_fraction(t) for t in (probes if probes else DEFAULT_PROBES)]
     kappa = state.parameter
     omega = cyclic_vector(state)
-    is_position = state.kind == POSITION
 
-    reduce = reduce_position if is_position else reduce_momentum
-    eigen_dev = 0.0
-    gram_residual = 0.0
+    eigen_dev = gram_residual = 0.0
     for t in probe_list:
-        gen = generator(t, 0) if is_position else generator(0, t)
-        shifted = gns_apply(gen, omega) - phase(t * kappa) * omega
-        eigen_dev = max(eigen_dev, reduce(shifted).norm())
+        shifted = gns_apply(_family_generator(regular, t), omega) - phase(t * kappa) * omega
+        eigen_dev = max(eigen_dev, _reduction(shifted).norm())
         gram_residual = max(gram_residual, abs(gns_inner(shifted, shifted)))
 
-    conj_dev = 0.0
-    chain_dev = 0.0
+    conj_dev = chain_dev = 0.0
     model_phi = basis_vector(kappa, state.kind)
     for a in probe_list:
         for b in probe_list:
             # representation-independent conjugation identities
             left = generator(0, -b) * generator(a, 0) * generator(0, b)
-            conj_dev = max(
-                conj_dev, (left - phase(-a * b) * generator(a, 0)).max_coeff()
-            )
+            conj_dev = max(conj_dev, (left - phase(-a * b) * generator(a, 0)).max_coeff())
             left = generator(-a, 0) * generator(0, b) * generator(a, 0)
-            conj_dev = max(
-                conj_dev, (left - phase(a * b) * generator(0, b)).max_coeff()
-            )
+            conj_dev = max(conj_dev, (left - phase(a * b) * generator(0, b)).max_coeff())
             # the chain on the explicit model, hung on the sharp eigenvector
-            if is_position:
-                lhs = inner(
-                    model_phi, apply_U(-a, apply_V(b, apply_U(a, model_phi)))
-                )
-                rhs = phase(a * b) * inner(model_phi, apply_V(b, model_phi))
-            else:
-                lhs = inner(
-                    model_phi, apply_V(-b, apply_U(a, apply_V(b, model_phi)))
-                )
-                rhs = phase(a * b) * inner(model_phi, apply_U(a, model_phi))
-            chain_dev = max(chain_dev, abs(lhs - rhs))
-
-    broken = []
-    for t in probe_list:
-        gen = generator(0, t) if is_position else generator(t, 0)
-        broken.append((t, state(gen)))
+            chain_dev = max(chain_dev, _chain_gap(model_phi, a, b))
 
     return EigenvectorWitness(
         state=state,
@@ -321,8 +314,19 @@ def eigenvector_witness(
         gram_residual=gram_residual,
         conjugation_deviation=conj_dev,
         chain_deviation=chain_dev,
-        broken_elements=tuple(broken),
+        broken_elements=tuple(continuity_scan(state, broken, probe_list)),
     )
+
+
+def _chain_gap(phi: FiniteSupportVector, s: Fraction, t: Fraction) -> float:
+    """|<phi, P_-s T_t P_s phi> - exp(ist) <phi, T_t phi>| in phi's flavor.
+
+    P is the flavor's phase family and T its translating family: U and V in
+    the position flavor, V and U in the momentum flavor.
+    """
+    phased, translate = (apply_U, apply_V) if phi.flavor == POSITION else (apply_V, apply_U)
+    lhs = inner(phi, phased(-s, translate(t, phased(s, phi))))
+    return abs(lhs - phase(s * t) * inner(phi, translate(t, phi)))
 
 
 def equivalence_check(lam: RationalLike, words: Sequence[WeylElement]) -> float:
@@ -333,8 +337,6 @@ def equivalence_check(lam: RationalLike, words: Sequence[WeylElement]) -> float:
     the basis vector at the same point.  Zero (to roundoff) witnesses that
     the two constructions are the same representation.
     """
-    from .states import position_state  # local import to avoid cycle at load
-
     words = list(words)
     if not words:
         raise ValueError("words must be non-empty")

@@ -9,20 +9,18 @@ decimals.  Records are plain dicts/lists, so callers pick the transport
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import IO, Iterable, Mapping, Sequence, Tuple
+from typing import IO, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .algebra import WeylElement, WeylIndex, as_fraction
 from .almost_periodic import TrigPolynomial
 from .reps import FLAVORS, FiniteSupportVector
-from .states import (
-    MOMENTUM,
-    POSITION,
-    VACUUM,
-    StateFunctional,
-    momentum_state,
-    position_state,
-    vacuum_state,
-)
+from .states import MOMENTUM, POSITION, VACUUM, StateFunctional
+
+#: record field of each kind's parameter; the vacuum takes none
+_PARAMETER_FIELD = {POSITION: "lambda", MOMENTUM: "mu", VACUUM: None}
+
+#: what reading a malformed field raises, a number past the float range included
+_BAD_FIELD = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
 class RecordError(ValueError):
@@ -32,8 +30,25 @@ class RecordError(ValueError):
 def _fraction_from(text) -> Fraction:
     try:
         return as_fraction(text if isinstance(text, str) else int(text))
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except _BAD_FIELD as exc:
         raise RecordError(f"not an exact rational: {text!r}") from exc
+
+
+def _coefficient(record: Mapping) -> complex:
+    return complex(float(record["re"]), float(record["im"]))
+
+
+def _mapping(record, what: str) -> Mapping:
+    if not isinstance(record, Mapping):
+        raise RecordError(f"bad {what} record: {record!r}")
+    return record
+
+
+def _parameter_field(kind) -> Optional[str]:
+    try:
+        return _PARAMETER_FIELD[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise RecordError(f"unknown state kind: {kind!r}") from None
 
 
 def element_to_records(element: WeylElement) -> list[dict]:
@@ -48,45 +63,35 @@ def element_from_records(records: Iterable[Mapping]) -> WeylElement:
     for rec in records:
         try:
             index = WeylIndex(_fraction_from(rec["a"]), _fraction_from(rec["b"]))
-            coeff = complex(float(rec["re"]), float(rec["im"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            coeff = _coefficient(rec)
+        except _BAD_FIELD as exc:
             raise RecordError(f"bad element record: {rec!r}") from exc
         terms.append((index, coeff))
     return WeylElement(terms)
 
 
 def state_to_record(state: StateFunctional) -> dict:
-    if state.kind == POSITION:
-        return {"kind": POSITION, "lambda": str(state.parameter)}
-    if state.kind == MOMENTUM:
-        return {"kind": MOMENTUM, "mu": str(state.parameter)}
-    return {"kind": VACUUM}
+    field = _PARAMETER_FIELD[state.kind]
+    if field is None:
+        return {"kind": state.kind}
+    return {"kind": state.kind, field: str(state.parameter)}
 
 
 def state_from_record(record: Mapping) -> StateFunctional:
-    kind = record.get("kind")
-    if kind == POSITION:
-        return position_state(_fraction_from(record.get("lambda")))
-    if kind == MOMENTUM:
-        return momentum_state(_fraction_from(record.get("mu")))
-    if kind == VACUUM:
-        return vacuum_state()
-    raise RecordError(f"unknown state kind: {kind!r}")
+    kind = _mapping(record, "state").get("kind")
+    field = _parameter_field(kind)
+    return StateFunctional(kind, None if field is None else _fraction_from(record.get(field)))
 
 
 def parse_state_arg(text: str) -> StateFunctional:
     """Compact command line form: 'vacuum', 'position:3/2', 'momentum:-1'."""
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
-    if kind == VACUUM:
+    if _parameter_field(kind) is None:
         if param:
             raise RecordError("the vacuum state takes no parameter")
-        return vacuum_state()
-    if kind == POSITION:
-        return position_state(_fraction_from(param))
-    if kind == MOMENTUM:
-        return momentum_state(_fraction_from(param))
-    raise RecordError(f"unknown state kind: {kind!r}")
+        return StateFunctional(kind)
+    return StateFunctional(kind, _fraction_from(param))
 
 
 def vector_to_records(vector: FiniteSupportVector) -> list[dict]:
@@ -99,18 +104,16 @@ def vector_to_records(vector: FiniteSupportVector) -> list[dict]:
 def vector_from_records(records: Sequence[Mapping]) -> FiniteSupportVector:
     if not records:
         raise RecordError("empty vector record list (flavor undeterminable)")
-    flavor = records[0].get("flavor")
+    flavor = _mapping(records[0], "vector").get("flavor")
     if flavor not in FLAVORS:
         raise RecordError(f"unknown flavor: {flavor!r}")
     amplitudes = []
     for rec in records:
-        if rec.get("flavor") != flavor:
+        if _mapping(rec, "vector").get("flavor") != flavor:
             raise RecordError("mixed flavors in one vector record list")
         try:
-            amplitudes.append(
-                (_fraction_from(rec["point"]), complex(float(rec["re"]), float(rec["im"])))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            amplitudes.append((_fraction_from(rec["point"]), _coefficient(rec)))
+        except _BAD_FIELD as exc:
             raise RecordError(f"bad vector record: {rec!r}") from exc
     return FiniteSupportVector(amplitudes, flavor)
 
@@ -126,10 +129,8 @@ def trig_from_records(records: Iterable[Mapping]) -> TrigPolynomial:
     coeffs = []
     for rec in records:
         try:
-            coeffs.append(
-                (_fraction_from(rec["freq"]), complex(float(rec["re"]), float(rec["im"])))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            coeffs.append((_fraction_from(rec["freq"]), _coefficient(rec)))
+        except _BAD_FIELD as exc:
             raise RecordError(f"bad polynomial record: {rec!r}") from exc
     return TrigPolynomial(coeffs)
 

@@ -35,6 +35,11 @@ if TYPE_CHECKING:
 VACUUM = "vacuum"
 KINDS = (POSITION, MOMENTUM, VACUUM)
 
+U_DIRECTION = "U"
+V_DIRECTION = "V"
+#: the family each sharp kind breaks, the one translating its point model
+BROKEN_DIRECTION = {POSITION: V_DIRECTION, MOMENTUM: U_DIRECTION}
+
 
 class EigensolverError(RuntimeError):
     """Eigenvalue iteration failed; distinct from a negative verdict."""

@@ -265,3 +265,55 @@ def test_mean_loads_numpy_and_prints_the_in_process_result(capsys, poly_file):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert "numpy" in imported_modules(proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"a": "0", "b": "0", "re": 10**400, "im": 0.0}],
+        [{"a": "0", "b": "0", "re": 0.0, "im": 10**400}],
+        [[1]],
+        ["vacuum"],
+    ],
+    ids=["huge-re", "huge-im", "list-record", "string-record"],
+)
+def test_eval_state_malformed_record_exits_2_with_one_error_line(capsys, tmp_path, records):
+    element = write_json(tmp_path / "bad.json", records)
+    assert main(["eval-state", "--state", "vacuum", element]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and captured.err.count("\n") == 1
+    assert "bad element record" in errors[0]
+
+
+def test_gns_build_momentum_pins_reduction_shifts(capsys, tmp_path):
+    words = write_json(
+        tmp_path / "words.json",
+        [
+            [{"a": "1", "b": "2", "re": 1.0, "im": 0.0}],
+            [{"a": "3", "b": "2", "re": 1.0, "im": 0.0}],
+            [{"a": "-1/2", "b": "0", "re": 0.5, "im": 0.0},
+             {"a": "1", "b": "7", "re": 0.0, "im": 1.0}],
+        ],
+    )
+    assert main(["gns-build", "--state", "momentum:-1/7", words]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["state"] == {"kind": "momentum", "mu": "-1/7"}
+    # c W(a, b) reduces to c exp(i b mu) at shift a: exp(-2i/7) twice, and 1j exp(-i)
+    assert payload["reductions"] == [
+        [{"shift": "1", "re": 0.9594605811119173, "im": -0.28184285212220994}],
+        [{"shift": "3", "re": 0.9594605811119173, "im": -0.28184285212220994}],
+        [{"shift": "-1/2", "re": 0.5, "im": 0.0},
+         {"shift": "1", "re": 0.8414709848078965, "im": 0.5403023058681398}],
+    ]
+    assert complex(0.9594605811119173, -0.28184285212220994) == pytest.approx(cmath.exp(-2j / 7))
+    assert complex(0.8414709848078965, 0.5403023058681398) == pytest.approx(1j * cmath.exp(-1j))
+    assert payload["norms"] == [1.0, 1.0, 1.118033988749895]
+
+
+def test_gns_build_vacuum_has_no_reductions(capsys, tmp_path):
+    words = write_json(tmp_path / "words.json", [[{"a": "1", "b": "2", "re": 1.0, "im": 0.0}]])
+    assert main(["gns-build", "--state", "vacuum", words]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["state", "norms", "gram"]

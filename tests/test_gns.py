@@ -338,3 +338,68 @@ def test_gram_matrix_equals_inner_cell_by_cell(scale):
             g = gram_matrix(state, [v.word for v in vectors])
             for i, j in itertools.product(range(len(vectors)), repeat=2):
                 assert abs(g[i, j] - gns_inner(vectors[i], vectors[j])) <= 1e-12
+
+
+@pytest.fixture()
+def reducer_calls(monkeypatch):
+    """Count calls of ``gns.reduce_position`` / ``gns.reduce_momentum`` through
+    wrappers bound to the module globals, the way a tracer binds them."""
+    from weylreps import gns
+
+    calls = {"reduce_position": 0, "reduce_momentum": 0}
+
+    def counting(name):
+        original = getattr(gns, name)
+
+        def wrapper(v):
+            calls[name] += 1
+            return original(v)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gns, name, counting(name))
+    return calls
+
+
+def test_is_null_calls_the_module_reducers(reducer_calls):
+    eigen_gap = generator(1, 0) - phase(1) * identity()
+    assert is_null(gns_apply(eigen_gap, cyclic_vector(position_state(1))))
+    assert not is_null(cyclic_vector(momentum_state(-2)))
+    assert not is_null(cyclic_vector(vacuum_state()))
+    assert reducer_calls == {"reduce_position": 1, "reduce_momentum": 1}
+
+
+def test_eigenvector_witness_calls_the_module_reducers(reducer_calls):
+    from weylreps import DEFAULT_PROBES
+
+    assert eigenvector_witness(position_state(Fraction(3, 2))).passed
+    assert reducer_calls == {"reduce_position": len(DEFAULT_PROBES), "reduce_momentum": 0}
+    assert eigenvector_witness(momentum_state(Fraction(-1, 7))).passed
+    assert reducer_calls == {"reduce_position": len(DEFAULT_PROBES),
+                             "reduce_momentum": len(DEFAULT_PROBES)}
+
+
+def test_cli_gns_build_calls_the_module_reducers(reducer_calls, tmp_path, capsys):
+    import json
+
+    from weylreps import cli
+
+    words = tmp_path / "words.json"
+    words.write_text(json.dumps([[{"a": "1", "b": "2", "re": 1.0, "im": 0.0}]] * 3))
+    for spec in ("position:3/2", "momentum:-1/7", "vacuum"):
+        assert cli.main(["gns-build", "--state", spec, str(words)]) == 0
+    capsys.readouterr()
+    assert reducer_calls == {"reduce_position": 3, "reduce_momentum": 3}
+
+
+def test_broken_direction_table_decides_regularity_and_the_witness_scan():
+    from weylreps import DEFAULT_PROBES, gns, states
+
+    assert states.BROKEN_DIRECTION == {"position": "V", "momentum": "U"}
+    assert (gns.U_DIRECTION, gns.V_DIRECTION) == (states.U_DIRECTION, states.V_DIRECTION)
+    for state in (position_state(Fraction(3, 2)), momentum_state(Fraction(-1, 7))):
+        broken = states.BROKEN_DIRECTION[state.kind]
+        assert not is_regular_direction(state, broken.lower())
+        witness = eigenvector_witness(state)
+        assert list(witness.broken_elements) == continuity_scan(state, broken, DEFAULT_PROBES)

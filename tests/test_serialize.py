@@ -112,3 +112,58 @@ def test_scan_csv_format():
     assert lines[0] == "parameter,re,im"
     assert lines[1] == "0,1.0,0.0"
     assert lines[2] == "1/8,0.0,0.0"
+
+
+HUGE = 10**400  # 401 digits: float() raises OverflowError on it
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_element_record_huge_coefficient_raises_record_error(part):
+    record = {"a": "1/2", "b": "0", "re": 1.0, "im": 0.0, part: HUGE}
+    with pytest.raises(RecordError, match="bad element record"):
+        element_from_records([record])
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_vector_record_huge_coefficient_raises_record_error(part):
+    record = {"point": "1", "re": 1.0, "im": 0.0, "flavor": "position", part: HUGE}
+    with pytest.raises(RecordError, match="bad vector record"):
+        vector_from_records([record])
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_trig_record_huge_coefficient_raises_record_error(part):
+    record = {"freq": "1", "re": 1.0, "im": 0.0, part: HUGE}
+    with pytest.raises(RecordError, match="bad polynomial record"):
+        trig_from_records([record])
+
+
+@pytest.mark.parametrize("record", [[1], "vacuum"])
+def test_state_from_record_rejects_non_mapping(record):
+    with pytest.raises(RecordError, match="bad state record"):
+        state_from_record(record)
+
+
+@pytest.mark.parametrize("record", [[1], "vacuum"])
+def test_vector_from_records_rejects_non_mapping(record):
+    with pytest.raises(RecordError, match="bad vector record"):
+        vector_from_records([record])
+    valid = {"point": "1", "re": 1.0, "im": 0.0, "flavor": "position"}
+    with pytest.raises(RecordError, match="bad vector record"):
+        vector_from_records([valid, record])
+
+
+@pytest.mark.parametrize("kind", [[], {}])
+def test_state_record_unhashable_kind_is_unknown(kind):
+    with pytest.raises(RecordError, match="unknown state kind"):
+        state_from_record({"kind": kind})
+
+
+def test_state_records_name_each_parameter_field():
+    assert state_to_record(position_state(Fraction(3, 2))) == {"kind": "position", "lambda": "3/2"}
+    assert state_to_record(momentum_state(Fraction(-1, 7))) == {"kind": "momentum", "mu": "-1/7"}
+    assert state_to_record(vacuum_state()) == {"kind": "vacuum"}
+    assert state_from_record({"kind": "momentum", "mu": "-1/7"}) == momentum_state(Fraction(-1, 7))
+    assert state_from_record({"kind": "vacuum", "lambda": "1"}) == vacuum_state()
+    with pytest.raises(RecordError, match="not an exact rational"):
+        state_from_record({"kind": "position", "mu": "1"})
