@@ -6,10 +6,10 @@ failed, 2 usage or parse error.  The environment variable ``WEYLREPS_SEED``
 overrides ``--seed`` wherever randomness is involved, and the effective seed
 is always printed so failures reproduce exactly.
 
-Only ``mean`` and ``verify`` compute with numpy, through the grid oracle
-and the Gram eigensolver; they import it when they run.  The exact
-subcommands start without it, which keeps a short request's process
-start cheap.
+Only ``verify`` computes with numpy, through the grid oracle, the Gram
+eigensolver and the sup-norm bracket, and those functions import it when
+they run.  Every other subcommand, ``mean`` included, starts without it,
+which keeps a short request's process start cheap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import gns, serialize
+from . import gns, schrodinger, serialize
 from .algebra import as_fraction
 from .verify import SUITE_NAMES, run_suites
 
@@ -125,8 +125,6 @@ def _cmd_continuity_scan(args) -> int:
 
 
 def _cmd_mean(args) -> int:
-    from . import schrodinger
-
     records = _load_json(args.polynomial)
     if not isinstance(records, list):
         raise InputError(f"{args.polynomial}: expected a list of coefficient records")

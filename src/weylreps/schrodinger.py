@@ -11,25 +11,31 @@ the discretisation bias measured for this configuration.  The truncated
 mean is the same trapezoid sum taken in closed form (a Dirichlet kernel per
 term), so it allocates no grid; ``MAX_QUADRATURE_POINTS`` still caps the
 grid it stands for, the domain on which that sum is pinned against the
-summed grid.
+summed grid.  numpy is imported inside the functions that compute with
+it: the truncated mean and its bound are plain ``math`` and run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .almost_periodic import TrigPolynomial
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_X_MIN = -12.0
 DEFAULT_X_MAX = 12.0
 DEFAULT_COUNT = 2**14
 MAX_QUADRATURE_POINTS = 2**22
+
+
+def _trapz(y: np.ndarray, dx: float):
+    import numpy as np
+
+    return (getattr(np, "trapezoid", None) or np.trapz)(y, dx=dx)  # trapz before 2.0
 
 
 @dataclass(frozen=True)
@@ -48,10 +54,12 @@ class GridWavefunction:
         return float(self.x[-1] - self.x[0])
 
     def norm(self) -> float:
-        return math.sqrt(float(_trapz(np.abs(self.psi) ** 2, dx=self.step)))
+        return math.sqrt(float(_trapz(abs(self.psi) ** 2, dx=self.step)))
 
 
 def _make_grid(x_min: float, x_max: float, count: int) -> np.ndarray:
+    import numpy as np
+
     if count < 1024:
         raise ValueError(f"need at least 1024 grid points, got {count}")
     if x_min > -8.0 or x_max < 8.0:
@@ -64,7 +72,7 @@ def _make_grid(x_min: float, x_max: float, count: int) -> np.ndarray:
 
 def _normalized(x: np.ndarray, psi: np.ndarray) -> GridWavefunction:
     h = float(x[1] - x[0])
-    nrm = math.sqrt(float(_trapz(np.abs(psi) ** 2, dx=h)))
+    nrm = math.sqrt(float(_trapz(abs(psi) ** 2, dx=h)))
     if nrm == 0.0:
         raise ValueError("cannot normalise the zero function")
     return GridWavefunction(x=x, psi=psi / nrm)
@@ -76,6 +84,8 @@ def gaussian_ground_state(
     count: int = DEFAULT_COUNT,
 ) -> GridWavefunction:
     """Unit Gaussian pi**-1/4 exp(-x**2/2), normalised on the grid."""
+    import numpy as np
+
     x = _make_grid(x_min, x_max, count)
     return _normalized(x, np.pi**-0.25 * np.exp(-(x**2) / 2.0) + 0j)
 
@@ -93,6 +103,8 @@ def gaussian_packet(
     Every member of this family saturates the dispersion bound: the position
     dispersion is width/sqrt(2) and the momentum dispersion its reciprocal.
     """
+    import numpy as np
+
     if width <= 0:
         raise ValueError("width must be positive")
     x = _make_grid(x_min, x_max, count)
@@ -106,7 +118,7 @@ def superpose(
     a: GridWavefunction, b: GridWavefunction, wa: complex = 1.0, wb: complex = 1.0
 ) -> GridWavefunction:
     """Normalised weighted sum of two wavefunctions on the same grid."""
-    if a.x.shape != b.x.shape or not np.array_equal(a.x, b.x):
+    if a.x.shape != b.x.shape or not (a.x == b.x).all():
         raise ValueError("wavefunctions live on different grids")
     return _normalized(a.x, wa * a.psi + wb * b.psi)
 
@@ -118,6 +130,8 @@ def characteristic_function(
 
     The shifted factor is linearly interpolated (zero outside the window).
     """
+    import numpy as np
+
     a = float(a)
     b = float(b)
     if abs(b) > psi.window / 4.0:
@@ -136,6 +150,8 @@ def dispersion_product(psi: GridWavefunction) -> float:
     finite differences of the samples (second moment via the squared
     derivative, which assumes the window swallows the tails).
     """
+    import numpy as np
+
     h = psi.step
     density = np.abs(psi.psi) ** 2
     mean_q = float(_trapz(psi.x * density, dx=h))
@@ -157,6 +173,8 @@ def point_mass_probe(psi: GridWavefunction, lam: float, eps: float) -> float:
     value scales linearly in eps once eps is below the density's variation
     scale.  Requires eps > grid step.
     """
+    import numpy as np
+
     eps = float(eps)
     lam = float(lam)
     if eps <= psi.step:

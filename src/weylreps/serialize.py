@@ -1,13 +1,15 @@
 """Record-based text formats shared by the command line surface.
 
-Rationals travel as exact strings ("3/2", "-7", "1/1000000"); complex
-coefficients as pairs of floats, which JSON renders as shortest round-trip
-decimals.  Records are plain dicts/lists, so callers pick the transport
+Rationals travel as exact strings ("3/2", "-7", "1/1000000"), and are read
+from JSON integers too, never from floats or booleans; complex coefficients
+as pairs of floats, which JSON renders as shortest round-trip decimals, and
+a non-finite one is refused.  Records are plain dicts/lists, so callers pick the transport
 (json module, CSV writer) themselves.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -28,14 +30,21 @@ class RecordError(ValueError):
 
 
 def _fraction_from(text) -> Fraction:
+    """A rational field: an exact string or an int; a float or a bool is refused."""
     try:
-        return as_fraction(text if isinstance(text, str) else int(text))
+        if isinstance(text, bool) or not isinstance(text, (str, int)):
+            raise TypeError(f"{type(text).__name__} is not exact")
+        return as_fraction(text)
     except _BAD_FIELD as exc:
         raise RecordError(f"not an exact rational: {text!r}") from exc
 
 
 def _coefficient(record: Mapping) -> complex:
-    return complex(float(record["re"]), float(record["im"]))
+    """The complex coefficient of a record, refused as a map would refuse it."""
+    value = complex(float(record["re"]), float(record["im"]))
+    if not abs(value) < math.inf:  # inf or nan; a modulus past the range overflows
+        raise ValueError(f"non-finite coefficient: {value!r}")
+    return value
 
 
 def _mapping(record, what: str) -> Mapping:

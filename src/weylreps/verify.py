@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import weylreps  # serves the grid oracle's names, loading numpy on first use
-
 from . import almost_periodic as ap
-from . import gns, reps
+from . import gns, reps, schrodinger
 from .algebra import WeylElement, WeylIndex, generator, identity, phase
 from .states import (StateFunctional, check_positivity, momentum_state, position_state,
                      vacuum_state)
@@ -396,8 +394,8 @@ def mean_truncation(rng: random.Random, polys: int) -> CheckResult:
     ok = True
     for _ in range(polys):
         f = rand_trig(rng, 5)
-        gap = abs(weylreps.mean_quadrature(f, AVERAGE_N) - f.invariant_mean())
-        ok = ok and gap <= weylreps.truncation_bound(f, AVERAGE_N)
+        gap = abs(schrodinger.mean_quadrature(f, AVERAGE_N) - f.invariant_mean())
+        ok = ok and gap <= schrodinger.truncation_bound(f, AVERAGE_N)
     return CheckResult(
         "ap", "exact mean matches the truncated average within the analytic bound",
         ok, f"{polys} random 5-term polynomials at N={AVERAGE_N:g}")
@@ -449,7 +447,7 @@ def sup_norm_brackets(rng: random.Random, polys: int) -> CheckResult:
 
 def ground_state_normalised(psi0) -> CheckResult:
     off = abs(psi0.norm() - 1)
-    density_mean = abs(weylreps.characteristic_function(psi0, 0, 0) - 1)
+    density_mean = abs(schrodinger.characteristic_function(psi0, 0, 0) - 1)
     return CheckResult(
         "oracle", "ground state normalised on the default grid",
         off < GRID_NORM_TOL and density_mean < GRID_NORM_TOL, f"norm off by {off:.2e}")
@@ -461,14 +459,14 @@ def vacuum_oracle(psi0) -> CheckResult:
     for a in range(-2, 3):
         for b in range(-2, 3):
             formula = vac.generator_value(Fraction(a), Fraction(b))
-            worst = max(worst, abs(formula - weylreps.characteristic_function(psi0, a, b)))
+            worst = max(worst, abs(formula - schrodinger.characteristic_function(psi0, a, b)))
     return CheckResult(
         "oracle", "Gaussian state formula agrees with quadrature on the 5x5 grid",
         worst <= ORACLE_TOL, f"max gap {worst:.2e}")
 
 
 def dispersion_family(psi0) -> CheckResult:
-    packet, superpose = weylreps.gaussian_packet, weylreps.superpose
+    packet, superpose = schrodinger.gaussian_packet, schrodinger.superpose
     gaussians = [
         psi0,
         packet(width=2.0),
@@ -483,7 +481,7 @@ def dispersion_family(psi0) -> CheckResult:
         superpose(packet(center=-2.0), packet(center=2.0)),
         superpose(packet(center=-1.5, momentum=1.0), packet(center=1.5)),
     ]
-    products = [weylreps.dispersion_product(psi) for psi in gaussians + bumps]
+    products = [schrodinger.dispersion_product(psi) for psi in gaussians + bumps]
     lower_ok = all(p >= 0.5 - DISPERSION_TOL for p in products)
     saturated = all(abs(p - 0.5) <= DISPERSION_TOL for p in products[:len(gaussians)])
     return CheckResult(
@@ -493,22 +491,22 @@ def dispersion_family(psi0) -> CheckResult:
 
 
 def point_localisation(psi) -> CheckResult:
-    weights = [weylreps.point_mass_probe(psi, 0.0, 2.0**-k) for k in range(3, 11)]
+    weights = [schrodinger.point_mass_probe(psi, 0.0, 2.0**-k) for k in range(3, 11)]
     return CheckResult(
         "oracle", "point-localisation weight scales linearly down to 1/1024",
         _halves(weights), f"halving eps halves the weight (ratio 0.5 +/- {RATIO_TOL})")
 
 
 def localisation_monotone(psi) -> CheckResult:
-    values = [weylreps.point_mass_probe(psi, 0.3, e) for e in (0.5, 0.25, 0.125, 0.0625)]
+    values = [schrodinger.point_mass_probe(psi, 0.3, e) for e in (0.5, 0.25, 0.125, 0.0625)]
     return CheckResult(
         "oracle", "localisation weight monotone in the window size",
         all(x >= y for x, y in zip(values, values[1:])), f"{[round(v, 6) for v in values]}")
 
 
 def truncated_averages() -> CheckResult:
-    ok = abs(weylreps.mean_quadrature(ap.constant(1.0), AVERAGE_N) - 1) < EXACT_TOL \
-        and abs(weylreps.mean_quadrature(ap.trig_generator(1), AVERAGE_N)) <= TONE_TOL
+    ok = abs(schrodinger.mean_quadrature(ap.constant(1.0), AVERAGE_N) - 1) < EXACT_TOL \
+        and abs(schrodinger.mean_quadrature(ap.trig_generator(1), AVERAGE_N)) <= TONE_TOL
     return CheckResult(
         "oracle", "truncated averages: constants exact, pure tones suppressed",
         ok, f"N={AVERAGE_N:g}")
@@ -565,8 +563,8 @@ def _ap_suite(rng: random.Random) -> list[CheckResult]:
 
 
 def _oracle_suite(rng: random.Random) -> list[CheckResult]:
-    psi0 = weylreps.gaussian_ground_state()
-    fine = weylreps.gaussian_ground_state(count=2**16)
+    psi0 = schrodinger.gaussian_ground_state()
+    fine = schrodinger.gaussian_ground_state(count=2**16)
     return [
         ground_state_normalised(psi0),
         vacuum_oracle(psi0),

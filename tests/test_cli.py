@@ -237,6 +237,17 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["weylreps", "weylreps.schrodinger"])
+def test_package_and_oracle_import_leave_numpy_unloaded(module):
+    proc = run_fresh(
+        "-c",
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_exact_subcommands_start_without_numpy(tmp_path, u1_file, v1_file):
     words = write_json(tmp_path / "words.json", [[{"a": "1", "b": "2", "re": 1.0, "im": 0.0}]])
     requests = [
@@ -258,13 +269,47 @@ def test_exact_subcommands_start_without_numpy(tmp_path, u1_file, v1_file):
             assert len(errors) == 1 and "Traceback" not in proc.stderr
 
 
-def test_mean_loads_numpy_and_prints_the_in_process_result(capsys, poly_file):
+def test_mean_imports_no_numpy_and_prints_the_in_process_result(capsys, poly_file):
     assert main(["mean", poly_file]) == 0
     expected = capsys.readouterr().out
     proc = run_fresh("-X", "importtime", "-m", "weylreps.cli", "mean", poly_file)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
-    assert "numpy" in imported_modules(proc.stderr)
+    assert [m for m in imported_modules(proc.stderr) if m.startswith("numpy")] == []
+
+
+def test_mean_runs_where_numpy_cannot_be_imported(capsys, poly_file):
+    assert main(["mean", poly_file]) == 0
+    expected = capsys.readouterr().out
+    proc = run_fresh(
+        "-c",
+        "import runpy, sys; sys.modules['numpy'] = None; "
+        "runpy.run_module('weylreps.cli', run_name='__main__')",
+        "mean", poly_file,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected and proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"a": 1.5, "b": "0", "re": 1.0, "im": 0.0}',
+        '{"a": "0", "b": true, "re": 1.0, "im": 0.0}',
+        '{"a": "0", "b": "0", "re": 1e309, "im": 0.0}',
+        '{"a": "0", "b": "0", "re": NaN, "im": 0.0}',
+        '{"a": "0", "b": "0", "re": 1.7e308, "im": 1.7e308}',
+    ],
+    ids=["float-label", "bool-label", "inf-coefficient", "nan-coefficient", "huge-modulus"],
+)
+def test_eval_state_inexact_or_non_finite_record_names_file_and_record(capsys, tmp_path, record):
+    element = tmp_path / "bad.json"
+    element.write_text(f"[{record}]")
+    assert main(["eval-state", "--state", "vacuum", str(element)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {element}: bad element record: ")
 
 
 @pytest.mark.parametrize(

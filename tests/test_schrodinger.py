@@ -1,13 +1,13 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import rand_coeff, rand_fraction
-from weylreps import schrodinger
 from weylreps import (
     TrigPolynomial,
     characteristic_function,
@@ -173,15 +173,15 @@ def test_mean_quadrature_validates_n():
 def test_mean_quadrature_rejects_bad_n_before_allocating(
     monkeypatch, n, points_per_unit, message
 ):
-    # Without numpy any allocation fails with AttributeError, not ValueError.
-    monkeypatch.setattr(schrodinger, "np", None)
+    # Without numpy any allocation fails with ImportError, not ValueError.
+    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ValueError, match=message):
         mean_quadrature(constant(1), n, points_per_unit)
 
 
 @pytest.mark.parametrize("points_per_unit", [0, 0.001, -5, 16.0, True, "128"])
 def test_mean_quadrature_rejects_bad_points_per_unit(monkeypatch, points_per_unit):
-    monkeypatch.setattr(schrodinger, "np", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ValueError, match="points per unit"):
         mean_quadrature(constant(1), 10.0, points_per_unit)
 

@@ -167,3 +167,54 @@ def test_state_records_name_each_parameter_field():
     assert state_from_record({"kind": "vacuum", "lambda": "1"}) == vacuum_state()
     with pytest.raises(RecordError, match="not an exact rational"):
         state_from_record({"kind": "position", "mu": "1"})
+
+
+INEXACT = [2.7, True]  # a JSON float and bool, which int() would truncate to 2 and 1
+
+
+@pytest.mark.parametrize("value", INEXACT)
+@pytest.mark.parametrize("field", ["a", "b"])
+def test_element_record_inexact_label_raises_record_error(field, value):
+    record = {"a": "1/2", "b": "0", "re": 1.0, "im": 0.0, field: value}
+    with pytest.raises(RecordError, match="bad element record"):
+        element_from_records([record])
+    record[field] = 3  # a JSON int is exact
+    assert element_from_records([record]).terms
+
+
+@pytest.mark.parametrize("value", INEXACT)
+@pytest.mark.parametrize("kind, field", [("position", "lambda"), ("momentum", "mu")])
+def test_state_record_inexact_parameter_raises_record_error(kind, field, value):
+    with pytest.raises(RecordError, match="not an exact rational"):
+        state_from_record({"kind": kind, field: value})
+    assert state_from_record({"kind": kind, field: -2}).parameter == -2
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_vector_record_inexact_point_raises_record_error(value):
+    record = {"point": value, "re": 1.0, "im": 0.0, "flavor": "position"}
+    with pytest.raises(RecordError, match="bad vector record"):
+        vector_from_records([record])
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_trig_record_inexact_frequency_raises_record_error(value):
+    with pytest.raises(RecordError, match="bad polynomial record"):
+        trig_from_records([{"freq": value, "re": 1.0, "im": 0.0}])
+
+
+NON_FINITE = {
+    "json-overflow": json.loads('{"re": 1e309, "im": 0.0}'),  # reads as inf
+    "nan": json.loads('{"re": 0.0, "im": NaN}'),
+    "modulus-overflow": {"re": 1.7e308, "im": 1.7e308},  # finite parts, abs() overflows
+}
+
+
+@pytest.mark.parametrize("coefficient", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_record_non_finite_coefficient_raises_record_error(coefficient):
+    with pytest.raises(RecordError, match="bad element record"):
+        element_from_records([{"a": "1", "b": "0", **coefficient}])
+    with pytest.raises(RecordError, match="bad vector record"):
+        vector_from_records([{"point": "1", "flavor": "momentum", **coefficient}])
+    with pytest.raises(RecordError, match="bad polynomial record"):
+        trig_from_records([{"freq": "1", **coefficient}])
