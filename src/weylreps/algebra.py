@@ -40,6 +40,7 @@ RationalLike = Union[Fraction, int, str]
 
 # coefficients at or below this modulus are dropped during normalisation
 PRUNE_TOL = 1e-15
+EXACT_TOL = 1e-12  # a few float products and sums of unit-modulus phases
 
 
 def as_fraction(value: RationalLike) -> Fraction:

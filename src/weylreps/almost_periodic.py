@@ -43,6 +43,9 @@ class TrigPolynomial(SparseMap):
 
     __radd__ = __add__
 
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __mul__(self, other):
         if not isinstance(other, TrigPolynomial):
             return SparseMap.__mul__(self, other)

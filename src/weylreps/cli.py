@@ -41,12 +41,13 @@ def _load_json(path: str):
         ) from exc
 
 
-def _load_element(path: str):
+def _load_records(path: str, what: str, read):
+    """``read`` applied to the list of ``what`` records in a JSON file."""
     records = _load_json(path)
     if not isinstance(records, list):
-        raise InputError(f"{path}: expected a list of term records")
+        raise InputError(f"{path}: expected a list of {what} records")
     try:
-        return serialize.element_from_records(records)
+        return read(records)
     except serialize.RecordError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -73,8 +74,8 @@ def _complex_record(value: complex) -> dict:
 
 
 def _cmd_product(args) -> int:
-    left = _load_element(args.left)
-    right = _load_element(args.right)
+    left = _load_records(args.left, "term", serialize.element_from_records)
+    right = _load_records(args.right, "term", serialize.element_from_records)
     json.dump(serialize.element_to_records(left * right), sys.stdout)
     sys.stdout.write("\n")
     return 0
@@ -82,7 +83,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_eval_state(args) -> int:
     state = _state_from_arg(args.state)
-    element = _load_element(args.element)
+    element = _load_records(args.element, "term", serialize.element_from_records)
     value = state(element)
     json.dump(_complex_record(value), sys.stdout)
     sys.stdout.write("\n")
@@ -125,13 +126,7 @@ def _cmd_continuity_scan(args) -> int:
 
 
 def _cmd_mean(args) -> int:
-    records = _load_json(args.polynomial)
-    if not isinstance(records, list):
-        raise InputError(f"{args.polynomial}: expected a list of coefficient records")
-    try:
-        poly = serialize.trig_from_records(records)
-    except serialize.RecordError as exc:
-        raise InputError(f"{args.polynomial}: {exc}") from exc
+    poly = _load_records(args.polynomial, "coefficient", serialize.trig_from_records)
 
     exact = poly.invariant_mean()
     approx = schrodinger.mean_quadrature(poly, args.quadrature_n)

@@ -2,9 +2,9 @@
 
 Rationals travel as exact strings ("3/2", "-7", "1/1000000"), and are read
 from JSON integers too, never from floats or booleans; complex coefficients
-as pairs of floats, which JSON renders as shortest round-trip decimals, and
-a non-finite one is refused.  Records are plain dicts/lists, so callers pick the transport
-(json module, CSV writer) themselves.
+as pairs of JSON numbers, never booleans or strings, with floats rendered as
+shortest round-trip decimals; a non-finite one is refused.  Records are plain
+dicts/lists, so callers pick the transport (json module, CSV writer) themselves.
 """
 
 from __future__ import annotations
@@ -29,19 +29,25 @@ class RecordError(ValueError):
     """Malformed record data (bad rational string, missing field...)."""
 
 
+def _typed(value, types: tuple):
+    """``value`` if it is one of ``types``; a bool, which JSON keeps apart, never is."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"a {type(value).__name__} is refused here")
+    return value
+
+
 def _fraction_from(text) -> Fraction:
     """A rational field: an exact string or an int; a float or a bool is refused."""
     try:
-        if isinstance(text, bool) or not isinstance(text, (str, int)):
-            raise TypeError(f"{type(text).__name__} is not exact")
-        return as_fraction(text)
+        return as_fraction(_typed(text, (str, int)))
     except _BAD_FIELD as exc:
         raise RecordError(f"not an exact rational: {text!r}") from exc
 
 
 def _coefficient(record: Mapping) -> complex:
-    """The complex coefficient of a record, refused as a map would refuse it."""
-    value = complex(float(record["re"]), float(record["im"]))
+    """``re`` + i ``im``, each an int or a float, refused as a map would refuse it."""
+    value = complex(float(_typed(record["re"], (int, float))),
+                    float(_typed(record["im"], (int, float))))
     if not abs(value) < math.inf:  # inf or nan; a modulus past the range overflows
         raise ValueError(f"non-finite coefficient: {value!r}")
     return value

@@ -16,11 +16,10 @@ from typing import Callable, Sequence
 
 from . import almost_periodic as ap
 from . import gns, reps, schrodinger
-from .algebra import WeylElement, WeylIndex, generator, identity, phase
+from .algebra import EXACT_TOL, WeylElement, WeylIndex, generator, identity, phase
 from .states import (StateFunctional, check_positivity, momentum_state, position_state,
                      vacuum_state)
 
-EXACT_TOL = 1e-12  # a few float products and sums of unit-modulus phases
 SUM_TOL = 1e-10  # associativity of 3-term products; Cauchy-Schwarz excess
 NORM_TOL = 1e-9  # l1 submultiplicativity; squares of the sup-norm bounds
 PSD_FLOOR = -1e-10  # least Gram eigenvalue a state may show
@@ -138,12 +137,17 @@ def group_law(rng: random.Random, pairs: int) -> CheckResult:
 
 
 def conjugation_identity(rng: random.Random, pairs: int) -> CheckResult:
+    """Both identities on the drawn pairs, then on gns.DEFAULT_PROBES squared."""
+    drawn = [(rand_fraction(rng), rand_fraction(rng)) for _ in range(pairs)]
+    grid = [(a, b) for a in gns.DEFAULT_PROBES for b in gns.DEFAULT_PROBES]
     dev = 0.0
-    for _ in range(pairs):
-        a, b = rand_fraction(rng), rand_fraction(rng)
+    for a, b in drawn + grid:
         left = generator(0, -b) * generator(a, 0) * generator(0, b)
         dev = max(dev, (left - phase(-a * b) * generator(a, 0)).max_coeff())
-    return _deviation("algebra", "conjugation identity V_-b U_a V_b = exp(-iab) U_a", dev)
+        left = generator(-a, 0) * generator(0, b) * generator(a, 0)
+        dev = max(dev, (left - phase(a * b) * generator(0, b)).max_coeff())
+    return _deviation("algebra", "conjugation identities V_-b U_a V_b = exp(-iab) U_a"
+                      " and U_-a V_b U_a = exp(iab) V_b", dev)
 
 
 def l1_submultiplicative(rng: random.Random, pairs: int) -> CheckResult:

@@ -15,3 +15,18 @@ coeff_st = st.complex_numbers(
 elements_st = st.dictionaries(
     st.tuples(fractions_st, fractions_st), coeff_st, min_size=1, max_size=3
 ).map(WeylElement)
+
+
+def count_element_products(monkeypatch) -> list:
+    """Wrap ``WeylElement.__mul__`` so each element-by-element product appends
+    to the returned list; products with a scalar are not counted."""
+    calls = []
+    original = WeylElement.__mul__
+
+    def counting(self, other):
+        if isinstance(other, WeylElement):
+            calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counting)
+    return calls

@@ -42,7 +42,8 @@ def test_criterion_04_eigenvector_witness():
     rng = random.Random(SEED + 3)
     report("4. eigenvector witness passes at 10 points per kind; proof chain < 1e-12",
            verify.eigenvector_witnesses(rng, points=10),
-           verify.conjugation_chain(rng, samples=25))
+           verify.conjugation_chain(rng, samples=25),
+           verify.conjugation_identity(rng, pairs=25))
 
 
 def test_criterion_05_word_geometry_equals_point_model():

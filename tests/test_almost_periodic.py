@@ -32,6 +32,17 @@ def test_frequency_cancellation():
     assert product == constant(1)
 
 
+def test_number_minus_polynomial_is_constant_minus_polynomial():
+    f = TrigPolynomial({Fraction(0): 0.5 - 1j, Fraction(1, 3): 2.0, Fraction(-2): 1j})
+    assert 2 - f == constant(2) - f
+    assert 2 - f == -(f - 2)
+    assert (f - 2).coefficients == {Fraction(0): -1.5 - 1j, Fraction(1, 3): 2.0,
+                                    Fraction(-2): 1j}
+    assert (1.5 - trig_generator(1)).coefficients == {Fraction(0): 1.5, Fraction(1): -1}
+    with pytest.raises(TypeError):
+        "2" - f
+
+
 def test_conjugate_flips_frequency():
     assert trig_generator(Fraction(3, 2)).conjugate() == trig_generator(Fraction(-3, 2))
 

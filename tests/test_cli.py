@@ -299,8 +299,11 @@ def test_mean_runs_where_numpy_cannot_be_imported(capsys, poly_file):
         '{"a": "0", "b": "0", "re": 1e309, "im": 0.0}',
         '{"a": "0", "b": "0", "re": NaN, "im": 0.0}',
         '{"a": "0", "b": "0", "re": 1.7e308, "im": 1.7e308}',
+        '{"a": "0", "b": "0", "re": true, "im": false}',
+        '{"a": "0", "b": "0", "re": "2.5", "im": 0}',
     ],
-    ids=["float-label", "bool-label", "inf-coefficient", "nan-coefficient", "huge-modulus"],
+    ids=["float-label", "bool-label", "inf-coefficient", "nan-coefficient", "huge-modulus",
+         "bool-coefficient", "string-coefficient"],
 )
 def test_eval_state_inexact_or_non_finite_record_names_file_and_record(capsys, tmp_path, record):
     element = tmp_path / "bad.json"

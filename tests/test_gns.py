@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import rand_coeff, rand_element, rand_fraction
+from helpers import count_element_products, rand_coeff, rand_element, rand_fraction
 from weylreps import (
     FiniteSupportVector,
     WeylElement,
@@ -245,6 +245,18 @@ def test_eigenvector_witness_momentum():
     witness = eigenvector_witness(momentum_state(0))
     assert witness.passed
     assert all(value == 0 for t, value in witness.broken_elements if t != 0)
+
+
+@pytest.mark.parametrize("state", [position_state(Fraction(3, 2)), momentum_state(Fraction(-1, 7))],
+                         ids=["position", "momentum"])
+def test_eigenvector_witness_makes_one_element_product_per_probe(monkeypatch, state):
+    from weylreps import DEFAULT_PROBES
+
+    products = count_element_products(monkeypatch)
+    witness = eigenvector_witness(state)
+    assert witness.passed
+    assert len(products) == len(DEFAULT_PROBES)
+    assert not hasattr(witness, "conjugation_deviation")
 
 
 def test_eigenvector_witness_rejects_vacuum():

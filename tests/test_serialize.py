@@ -218,3 +218,27 @@ def test_record_non_finite_coefficient_raises_record_error(coefficient):
         vector_from_records([{"point": "1", "flavor": "momentum", **coefficient}])
     with pytest.raises(RecordError, match="bad polynomial record"):
         trig_from_records([{"freq": "1", **coefficient}])
+
+
+MISTYPED = {"bool-re": {"re": True, "im": 0.0}, "bool-im": {"re": 1.0, "im": False},
+            "string-re": {"re": "2.5", "im": 0.0}, "string-im": {"re": 0.0, "im": "1"}}
+
+
+@pytest.mark.parametrize("coefficient", MISTYPED.values(), ids=MISTYPED.keys())
+def test_element_record_mistyped_coefficient_raises_record_error(coefficient):
+    with pytest.raises(RecordError, match="bad element record"):
+        element_from_records([{"a": "1", "b": "0", **coefficient}])
+    assert element_from_records([{"a": "1", "b": "0", "re": 2, "im": -1}]).terms == {
+        WeylIndex(Fraction(1), Fraction(0)): 2 - 1j}
+
+
+@pytest.mark.parametrize("coefficient", MISTYPED.values(), ids=MISTYPED.keys())
+def test_vector_record_mistyped_coefficient_raises_record_error(coefficient):
+    with pytest.raises(RecordError, match="bad vector record"):
+        vector_from_records([{"point": "1", "flavor": "position", **coefficient}])
+
+
+@pytest.mark.parametrize("coefficient", MISTYPED.values(), ids=MISTYPED.keys())
+def test_trig_record_mistyped_coefficient_raises_record_error(coefficient):
+    with pytest.raises(RecordError, match="bad polynomial record"):
+        trig_from_records([{"freq": "1", **coefficient}])

@@ -1,10 +1,14 @@
 """The interface of the property registry behind ``weylreps verify``."""
 
+import random
 from dataclasses import fields
 
 import pytest
 
-from weylreps.verify import SUITE_NAMES, CheckResult, run_suites
+from helpers import count_element_products
+from weylreps.gns import DEFAULT_PROBES
+from weylreps.verify import (SUITE_NAMES, CheckResult, conjugation_identity,
+                            rand_fraction, run_suites)
 
 SUITES = ("algebra", "reps", "gns", "ap", "oracle")
 
@@ -13,7 +17,8 @@ CHECKS = [
     ("algebra", "associativity on random 3-term elements"),
     ("algebra", "star laws: (xy)* = y*x* and x** = x"),
     ("algebra", "group law: single product term with unit-modulus phase"),
-    ("algebra", "conjugation identity V_-b U_a V_b = exp(-iab) U_a"),
+    ("algebra", "conjugation identities V_-b U_a V_b = exp(-iab) U_a"
+                " and U_-a V_b U_a = exp(iab) V_b"),
     ("algebra", "l1 bound submultiplicative"),
     ("reps", "unitarity: U and V preserve inner products, both flavors"),
     ("reps", "sharp eigenvectors: U_a phi_x = exp(iax) phi_x"),
@@ -63,3 +68,19 @@ def test_all_runs_every_check_in_order_and_equals_the_single_suites(seed):
 def test_unknown_suite_is_refused():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["nope"], 0)
+
+
+def test_conjugation_identity_checks_both_identities_on_the_probe_grid(monkeypatch):
+    products = count_element_products(monkeypatch)
+    result = conjugation_identity(random.Random(0), pairs=0)
+    assert result.passed
+    # two identities, two products each, on every pair of the witness probes
+    assert len(products) == 2 * 2 * len(DEFAULT_PROBES) ** 2 == 144
+
+
+def test_conjugation_identity_draws_only_its_random_pairs():
+    rng, fresh = random.Random(5), random.Random(5)
+    conjugation_identity(rng, pairs=3)
+    for _ in range(3):
+        rand_fraction(fresh), rand_fraction(fresh)
+    assert rng.getstate() == fresh.getstate()
