@@ -125,9 +125,30 @@ def gns_inner(u: GnsVector, v: GnsVector) -> complex:
     return total
 
 
+def _squared_norm(v: GnsVector) -> float:
+    """Re <v, v>, summed once per unordered pair of terms.
+
+    K(t, s) = conj K(s, t), so the pair (s, t) and its mirror add up to
+    2 Re(conj(c_s) c_t K(s, t)): n(n + 1)/2 kernel calls for n terms where
+    ``gns_inner(v, v)`` makes n^2.
+    """
+    kernel = v.owner.kernel
+    terms = list(v.word.terms.items())
+    total = 0.0
+    for i, (s, c) in enumerate(terms):
+        conj = c.conjugate()
+        pairs = 0j
+        for t, d in terms[i + 1:]:
+            value = kernel(s, t)
+            if value:
+                pairs += conj * d * value
+        total += (conj * c * kernel(s, s)).real + 2.0 * pairs.real
+    return total
+
+
 def gns_norm(v: GnsVector) -> float:
     """Norm from the state; tiny negative roundoff is clamped to zero."""
-    return math.sqrt(max(gns_inner(v, v).real, 0.0))
+    return math.sqrt(max(_squared_norm(v), 0.0))
 
 
 def gns_apply(x: WeylElement, v: GnsVector) -> GnsVector:
@@ -144,7 +165,7 @@ def is_null(v: GnsVector) -> bool:
     """
     reduced = _reduction(v)
     if reduced is None:
-        return gns_inner(v, v).real < 1e-12
+        return _squared_norm(v) < 1e-12
     return not reduced
 
 
@@ -171,11 +192,7 @@ def reduce_position(v: GnsVector) -> FiniteSupportVector:
     """
     if v.owner.kind != POSITION:
         raise ValueError(f"owner is {v.owner.kind}, needs a position state")
-    lam = v.owner.parameter
-    out: dict[Fraction, complex] = {}
-    for (a, b), c in v.word.terms.items():
-        out[b] = out.get(b, 0j) + c * phase(a * (lam - b))
-    return FiniteSupportVector(out, POSITION)
+    return _reduce(v)
 
 
 def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
@@ -183,11 +200,19 @@ def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
     momentum-flavor vector."""
     if v.owner.kind != MOMENTUM:
         raise ValueError(f"owner is {v.owner.kind}, needs a momentum state")
-    mu = v.owner.parameter
+    return _reduce(v)
+
+
+def _reduce(v: GnsVector) -> FiniteSupportVector:
+    """Sum the terms on the owner's point model (``StateFunctional._point``),
+    as a vector of the owner's flavor."""
+    point = v.owner._point
     out: dict[Fraction, complex] = {}
-    for (a, b), c in v.word.terms.items():
-        out[a] = out.get(a, 0j) + c * phase(b * mu)
-    return FiniteSupportVector(out, MOMENTUM)
+    for index, c in v.word.terms.items():
+        n, d, amplitude = point(index._pa, index._pb, index._q)
+        key = Fraction(n, d)
+        out[key] = out.get(key, 0j) + c * amplitude
+    return FiniteSupportVector(out, v.owner.kind)
 
 
 def _direction(direction: str) -> str:
@@ -291,7 +316,7 @@ def eigenvector_witness(
     for t in probe_list:
         shifted = gns_apply(_family_generator(regular, t), omega) - phase(t * kappa) * omega
         eigen_dev = max(eigen_dev, _reduction(shifted).norm())
-        gram_residual = max(gram_residual, abs(gns_inner(shifted, shifted)))
+        gram_residual = max(gram_residual, abs(_squared_norm(shifted)))
 
     chain_dev = 0.0
     model_phi = basis_vector(kappa, state.kind)

@@ -11,9 +11,17 @@ Three built-in kinds:
   ``exp(-i a b / 2) * exp(-(a^2 + b^2) / 4)``, continuous in both directions.
   The formula is cross-checked against the grid quadrature oracle.
 
+A sharp state has a point model: W(a, b) applied to its cyclic vector is a
+unit phase times one point vector, at b for position and at a for momentum
+(:meth:`StateFunctional._point`).  So its Gram matrix is ``R^H R`` for the
+matrix R of the words' canonical reductions, and the vacuum's is ``C^H K C``
+over the generator kernel.
+
 Positivity is tested, not assumed: finite Gram matrices of the functional
 are handed to a dense Hermitian eigensolver and the minimum eigenvalue is
-reported.
+reported.  ``R^H R`` is positive semidefinite by construction, so for a
+sharp state the ``gns`` suite also checks the factorisation cell by cell
+against the kernel route, ``gns.gns_inner``.
 """
 
 from __future__ import annotations
@@ -92,6 +100,28 @@ class StateFunctional:
         except OverflowError:
             return 0j
 
+    def _point(self, pa: int, pb: int, q: int) -> tuple[int, int, complex]:
+        """W(pa/q, pb/q) applied to a sharp state's cyclic vector, on its point
+        model: the point n/d in lowest terms and the unit amplitude there.
+
+        Position(lam) puts it at b with amplitude exp(i a (lam - b)), momentum(mu)
+        at a with amplitude exp(i b mu).  The angle goes to ``phase_ratio``
+        unreduced, which equals the phase of the ``Fraction`` angle bit for bit.
+        The map is isometric: state(W(s)* W(t)) is the conjugate amplitude of s
+        times that of t where the points agree, and 0 where they do not.
+        """
+        if self.kind == POSITION:
+            lam = self.parameter
+            ln, ld = lam.numerator, lam.denominator
+            n, amplitude = pb, phase_ratio(pa * (ln * q - pb * ld), q * q * ld)
+        elif self.kind == MOMENTUM:
+            mu = self.parameter
+            n, amplitude = pa, phase_ratio(pb * mu.numerator, q * mu.denominator)
+        else:
+            raise ValueError("the vacuum has no point model")
+        g = math.gcd(n, q)
+        return n // g, q // g, amplitude
+
     def kernel(self, s: WeylIndex, t: WeylIndex) -> complex:
         """state(W(s)* W(t)) for the generator labels s and t.
 
@@ -146,17 +176,25 @@ def gram_matrix(
 ) -> np.ndarray:
     """Matrix of state(x_i* x_j); Hermitian up to coefficient roundoff.
 
-    Computed as ``C^H K C`` over the L distinct generators s = (a_s, b_s)
-    of the basis: C is the L x n coefficient matrix and K the generator
-    kernel ``K[s, t] = state(W(s)* W(t))`` of :meth:`StateFunctional.kernel`.
-    Only the upper triangle is evaluated; the lower is its conjugate.  For
-    a sharp state, cells between words it cannot connect come out exactly 0.
+    For a sharp state it is ``R^H R``: row k of R is one point of the state's
+    point model, and column j the canonical reduction of x_j there (one
+    :meth:`StateFunctional._point` per distinct label, no kernel call).
+    Words whose reductions share no point get an exactly 0 cell.
+
+    For the vacuum it is ``C^H K C`` over the L distinct generators
+    s = (a_s, b_s) of the basis: C is the L x n coefficient matrix and K the
+    generator kernel ``K[s, t] = state(W(s)* W(t))`` of
+    :meth:`StateFunctional.kernel`, evaluated on the upper triangle only;
+    the lower is its conjugate.
     """
     import numpy as np
 
     basis = list(basis)
     if not basis:
         raise ValueError("basis must be non-empty")
+    if state.kind != VACUUM:
+        reduced = _reduction_matrix(state, basis)
+        return reduced.conj().T @ reduced
     labels = sorted({index for x in basis for index in x.terms})
     slot = {label: k for k, label in enumerate(labels)}
     coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
@@ -171,6 +209,37 @@ def gram_matrix(
                 kernel[s, t] = value
                 kernel[t, s] = value.conjugate()
     return coeffs.conj().T @ kernel @ coeffs
+
+
+def _reduction_matrix(state: StateFunctional, basis: list[WeylElement]) -> np.ndarray:
+    """R[k, j]: the canonical reduction of basis[j] at the k-th point reached.
+
+    Rows are numbered in the order the terms first reach their point; terms
+    of one word at one point are summed in term order, from 0.  R is filled
+    as a flat list, one row appended per new point, and converted once.
+    """
+    import numpy as np
+
+    point = state._point
+    width = len(basis)
+    empty_row = [0j] * width
+    flat: list[complex] = []
+    rows: dict[tuple[int, int], int] = {}  # point -> offset of its row in flat
+    # label integers -> (offset of its row, amplitude): one phase per label
+    seen: dict[tuple[int, int, int], tuple[int, complex]] = {}
+    for j, x in enumerate(basis):
+        for label, c in x.terms.items():
+            key = (label._pa, label._pb, label._q)
+            hit = seen.get(key)
+            if hit is None:
+                n, d, amplitude = point(*key)
+                row = rows.get((n, d))
+                if row is None:
+                    row = rows[n, d] = len(flat)
+                    flat += empty_row
+                hit = seen[key] = (row, amplitude)
+            flat[hit[0] + j] += c * hit[1]
+    return np.array(flat, dtype=complex).reshape(len(rows), width)
 
 
 def check_positivity(state: StateFunctional, basis: Sequence[WeylElement]) -> float:

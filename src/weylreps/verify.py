@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 from . import almost_periodic as ap
 from . import gns, reps, schrodinger
 from .algebra import EXACT_TOL, WeylElement, WeylIndex, generator, identity, phase
-from .states import (StateFunctional, check_positivity, momentum_state, position_state,
-                     vacuum_state)
+from .states import (BROKEN_DIRECTION, StateFunctional, check_positivity, gram_matrix,
+                     momentum_state, position_state, vacuum_state)
 
 SUM_TOL = 1e-10  # associativity of 3-term products; Cauchy-Schwarz excess
 NORM_TOL = 1e-9  # l1 submultiplicativity; squares of the sup-norm bounds
@@ -324,14 +324,31 @@ def states_bounded(rng: random.Random, states: States, generators: int) -> Check
 
 
 def gram_positivity(rng: random.Random, states: States, bases: int) -> CheckResult:
-    min_eig = 0.0
+    """Least Gram eigenvalue over random generator bases.
+
+    A sharp state's Gram matrix is ``R^H R``, positive by construction, so
+    for those bases the factorisation is also checked against the kernel
+    route: the largest |gram_matrix - gns_inner| over the upper triangle.
+    """
+    min_eig = gap = 0.0
     for state in states:
+        sharp = state.kind in BROKEN_DIRECTION
         for _ in range(bases):
             basis = [_rand_generator(rng) for _ in range(rng.randint(1, 8))]
             min_eig = min(min_eig, check_positivity(state, basis))
+            if sharp:
+                gap = max(gap, _gram_gap(state, basis))
     return CheckResult(
         "gns", f"Gram matrices positive semidefinite, {bases} random bases per state",
-        min_eig >= PSD_FLOOR, f"min eigenvalue {min_eig:.2e}")
+        min_eig >= PSD_FLOOR and gap <= EXACT_TOL,
+        f"min eigenvalue {min_eig:.2e}, sharp Gram gap to gns_inner {gap:.2e}")
+
+
+def _gram_gap(state: StateFunctional, basis: list[WeylElement]) -> float:
+    gram = gram_matrix(state, basis).tolist()
+    vectors = [gns.GnsVector(x, state) for x in basis]
+    return max(abs(gram[i][j] - gns.gns_inner(u, v))
+               for i, u in enumerate(vectors) for j, v in enumerate(vectors[i:], i))
 
 
 def regularity_fingerprints(states: States) -> CheckResult:

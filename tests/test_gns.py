@@ -352,6 +352,28 @@ def test_gram_matrix_equals_inner_cell_by_cell(scale):
                 assert abs(g[i, j] - gns_inner(vectors[i], vectors[j])) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", SCALES)
+def test_norm_sums_each_unordered_pair_of_terms_once(scale, monkeypatch):
+    from weylreps import StateFunctional
+
+    calls = []
+    kernel = StateFunctional.kernel
+    monkeypatch.setattr(StateFunctional, "kernel",
+                        lambda self, s, t: calls.append(1) or kernel(self, s, t))
+    for seed in range(3):
+        for state, vectors in scaled_vectors(seed, scale):
+            for v in vectors:
+                n = len(v.word.terms)
+                calls.clear()
+                norm = gns_norm(v)
+                assert len(calls) == n * (n + 1) // 2
+                assert abs(norm**2 - gns_inner(v, v)) <= 1e-12
+                if state.kind == "vacuum":
+                    calls.clear()
+                    assert not is_null(v)
+                    assert len(calls) == n * (n + 1) // 2
+
+
 @pytest.fixture()
 def reducer_calls(monkeypatch):
     """Count calls of ``gns.reduce_position`` / ``gns.reduce_momentum`` through

@@ -3,9 +3,10 @@
 A label stores (a, b) as the integers (p_a, p_b, q).  These tests check
 that its hash is the hash of the pair ``(a, b)``, that it orders as the
 pair, that ``phase_ratio`` on an unreduced ratio is the phase of the
-``Fraction``, and that the product, the adjoint, the state kernels and the
-Gram matrix equal, bit for bit, a reference that computes on ``Fraction``
-labels as the package did before the labels held integers.
+``Fraction``, and that the product, the adjoint, the state kernels, the
+canonical reductions and the Gram matrix equal, bit for bit, a reference
+that computes on ``Fraction`` labels as the package did before the labels
+held integers.
 
 The file needs neither pytest nor numpy, except for the Gram matrix test;
 run it as a script to check the contract on an interpreter without them:
@@ -19,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from weylreps.algebra import PRUNE_TOL, WeylElement, WeylIndex, phase, phase_ratio
+from weylreps.gns import GnsVector, reduce_momentum, reduce_position
 from weylreps.states import momentum_state, position_state, vacuum_state
 
 MODULUS = sys.hash_info.modulus
@@ -57,6 +59,20 @@ def reference_kernel(state, s, t) -> complex:
     a = a_t - a_s
     value = reference_value(state, a, b_t - b_s)
     return phase(-a * b_s) * value if value else value
+
+
+def reference_reduction(state, x: WeylElement) -> dict:
+    """x applied to a sharp state's cyclic vector, on its point model:
+    W(a, b) goes to b with amplitude exp(i a (lam - b)) for position(lam), to
+    a with amplitude exp(i b mu) for momentum(mu)."""
+    out = {}
+    for (a, b), c in x.terms.items():
+        if state.kind == "position":
+            point, amplitude = b, phase(a * (state.parameter - b))
+        else:
+            point, amplitude = a, phase(b * state.parameter)
+        out[point] = out.get(point, 0j) + c * amplitude
+    return out
 
 
 def bits(c: complex) -> tuple:
@@ -211,7 +227,22 @@ def test_kernel_and_evaluation_equal_the_fraction_route():
                 assert bits(state(x)) == bits(total)
 
 
+def test_reductions_equal_the_fraction_route():
+    rng = random.Random(11)
+    for scale in SCALES:
+        for state in states_at(rng, scale)[:2]:
+            reduce = reduce_position if state.kind == "position" else reduce_momentum
+            for x in words(rng, scale, 20):
+                expected = reference_reduction(state, x)
+                reduced = reduce(GnsVector(x, state)).amplitudes
+                assert list(reduced) == list(expected)
+                assert {point: bits(c) for point, c in reduced.items()} == \
+                    {point: bits(c) for point, c in expected.items()}
+
+
 def test_gram_matrix_equals_the_fraction_route():
+    """The vacuum is C^H K C over the sorted labels; a sharp state is R^H R,
+    its rows the points in the order the terms first reach them."""
     import numpy as np
 
     from weylreps.states import gram_matrix
@@ -220,19 +251,31 @@ def test_gram_matrix_equals_the_fraction_route():
     for scale in SCALES:
         basis = words(rng, scale, 12)
         for state in states_at(rng, scale):
-            labels = sorted({(label.a, label.b) for x in basis for label in x.terms})
-            coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
-            for j, x in enumerate(basis):
-                for label, c in x.terms.items():
-                    coeffs[labels.index((label.a, label.b)), j] = c
-            kernel = np.zeros((len(labels), len(labels)), dtype=complex)
-            for s, label in enumerate(labels):
-                for t in range(s, len(labels)):
-                    value = reference_kernel(state, label, labels[t])
-                    if value:
-                        kernel[s, t] = value
-                        kernel[t, s] = value.conjugate()
-            expected = coeffs.conj().T @ kernel @ coeffs
+            if state.kind == "vacuum":
+                labels = sorted({(label.a, label.b) for x in basis for label in x.terms})
+                coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
+                for j, x in enumerate(basis):
+                    for label, c in x.terms.items():
+                        coeffs[labels.index((label.a, label.b)), j] = c
+                kernel = np.zeros((len(labels), len(labels)), dtype=complex)
+                for s, label in enumerate(labels):
+                    for t in range(s, len(labels)):
+                        value = reference_kernel(state, label, labels[t])
+                        if value:
+                            kernel[s, t] = value
+                            kernel[t, s] = value.conjugate()
+                expected = coeffs.conj().T @ kernel @ coeffs
+            else:
+                columns = [reference_reduction(state, x) for x in basis]
+                rows = {}
+                for column in columns:
+                    for point in column:
+                        rows.setdefault(point, len(rows))
+                reduced = np.zeros((len(rows), len(basis)), dtype=complex)
+                for j, column in enumerate(columns):
+                    for point, amplitude in column.items():
+                        reduced[rows[point], j] = amplitude
+                expected = reduced.conj().T @ reduced
             assert gram_matrix(state, basis).tobytes() == expected.tobytes()
 
 

@@ -165,6 +165,27 @@ def test_gram_matrix_sharp_zeros_are_exact():
         assert disjoint > 0
 
 
+def test_gram_matrix_of_a_sharp_state_takes_one_phase_per_label(monkeypatch):
+    from weylreps import states
+
+    kernel_calls, phase_calls = [], []
+    kernel, phase_ratio = StateFunctional.kernel, states.phase_ratio
+    monkeypatch.setattr(StateFunctional, "kernel",
+                        lambda self, s, t: kernel_calls.append(1) or kernel(self, s, t))
+    monkeypatch.setattr(states, "phase_ratio",
+                        lambda p, q: phase_calls.append(1) or phase_ratio(p, q))
+    rng = random.Random(17)
+    for state in SHARP_AND_VACUUM[:2]:
+        for _ in range(3):
+            basis = alphabet_basis(rng, 16)
+            labels = {label for x in basis for label in x.terms}
+            assert sum(len(x.terms) for x in basis) > len(labels)
+            phase_calls.clear()
+            gram_matrix(state, basis)
+            assert len(phase_calls) == len(labels)
+    assert kernel_calls == []
+
+
 def exact_angle_gram(state, basis, mpmath):
     """state(x_i* x_j) summed term by term, each phase taken at 60 digits.
 
