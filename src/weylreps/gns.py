@@ -110,7 +110,8 @@ def gns_inner(u: GnsVector, v: GnsVector) -> complex:
     Summed without building the product: for u.word = sum_s c_s W(s) and
     v.word = sum_t d_t W(t) it is sum_{s,t} conj(c_s) d_t K(s, t), over the
     generator kernel K(s, t) = owner(W(s)* W(t)) of
-    :meth:`StateFunctional.kernel`, which ``gram_matrix`` fills too.
+    :meth:`StateFunctional.kernel`.  ``gram_matrix`` factors the same
+    cells another way, so the two routes check each other.
     """
     u._check_owner(v)
     kernel = v.owner.kernel

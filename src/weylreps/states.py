@@ -14,14 +14,18 @@ Three built-in kinds:
 A sharp state has a point model: W(a, b) applied to its cyclic vector is a
 unit phase times one point vector, at b for position and at a for momentum
 (:meth:`StateFunctional._point`).  So its Gram matrix is ``R^H R`` for the
-matrix R of the words' canonical reductions, and the vacuum's is ``C^H K C``
-over the generator kernel.
+matrix R of the words' canonical reductions.  The vacuum's value on
+W(s)* W(t) splits into a phase per generator, a phase per (a, b) pair of the
+basis's distinct values and a Gaussian per axis, so its Gram matrix is
+``C'^H K' C'`` built from exact per-axis tables.  Neither makes a kernel
+call: :meth:`StateFunctional.kernel` and ``gns.gns_inner`` stay an
+independent route to check them against.
 
 Positivity is tested, not assumed: finite Gram matrices of the functional
 are handed to a dense Hermitian eigensolver and the minimum eigenvalue is
-reported.  ``R^H R`` is positive semidefinite by construction, so for a
-sharp state the ``gns`` suite also checks the factorisation cell by cell
-against the kernel route, ``gns.gns_inner``.
+reported (:func:`least_eigenvalue`).  ``R^H R`` is positive semidefinite by
+construction, so for a sharp state the ``gns`` suite also checks the
+factorisation cell by cell against the kernel route, ``gns.gns_inner``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .algebra import RationalLike, WeylElement, WeylIndex, as_fraction, phase_ratio
 from .reps import MOMENTUM, POSITION
 
-# numpy is imported inside the two functions that compute with it, so
+# numpy is imported inside the functions that compute with it, so
 # evaluating a state does not load it.
 if TYPE_CHECKING:
     import numpy as np
@@ -181,34 +185,106 @@ def gram_matrix(
     :meth:`StateFunctional._point` per distinct label, no kernel call).
     Words whose reductions share no point get an exactly 0 cell.
 
-    For the vacuum it is ``C^H K C`` over the L distinct generators
-    s = (a_s, b_s) of the basis: C is the L x n coefficient matrix and K the
-    generator kernel ``K[s, t] = state(W(s)* W(t))`` of
-    :meth:`StateFunctional.kernel`, evaluated on the upper triangle only;
-    the lower is its conjugate.
+    For the vacuum it is ``C'^H K' C'`` over the distinct generators of the
+    basis (:func:`_vacuum_factors`), every phase exact and no kernel call.
     """
-    import numpy as np
-
     basis = list(basis)
     if not basis:
         raise ValueError("basis must be non-empty")
-    if state.kind != VACUUM:
-        reduced = _reduction_matrix(state, basis)
-        return reduced.conj().T @ reduced
-    labels = sorted({index for x in basis for index in x.terms})
-    slot = {label: k for k, label in enumerate(labels)}
-    coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
+    if state.kind == VACUUM:
+        coeffs, kernel = _vacuum_factors(basis)
+        return coeffs.conj().T @ kernel @ coeffs
+    reduced = _reduction_matrix(state, basis)
+    return reduced.conj().T @ reduced
+
+
+def _vacuum_factors(basis: list[WeylElement]) -> tuple[np.ndarray, np.ndarray]:
+    """C' and K' with the vacuum's Gram matrix ``C'^H K' C'``.
+
+    The vacuum's value on W(s)* W(t) factors as
+
+        e^{i a_s b_s/2} e^{-i a_t b_t/2} e^{i (a_s b_t - a_t b_s)/2}
+        e^{-(a_s - a_t)^2/4} e^{-(b_s - b_t)^2/4}.
+
+    With P[a, b] = e^{i a b/2} over the basis's distinct a values times its
+    distinct b values, row s of C' is the coefficients of W(s) in the words
+    times conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s])
+    E_a[a_s, a_t] E_b[b_s, b_t] with the envelopes of :func:`_envelope`.
+    Each P[a, b] is one ``phase_ratio`` on the lowest-terms integers, taken
+    only if a cell with a nonzero envelope reads it (else it is 0), so a
+    pair of labels beyond the Gaussian's reach costs no phase.  Like the
+    adjoint, this refuses (``ValueError``) an angle a b / 2 past 2**1023.
+
+    Rows, a values and b values are numbered in the order the terms first
+    reach them; C' is filled as a flat list and converted once.  A basis
+    with no terms gives 0 x 0 tables, so a zero Gram matrix.
+    """
+    import numpy as np
+
+    gcd = math.gcd
+    width = len(basis)
+    empty_row = [0j] * width
+    flat: list[complex] = []
+    rows: dict[tuple[int, int, int], int] = {}  # label integers -> offset of its row
+    a_slot: dict[tuple[int, int], int] = {}  # a in lowest terms -> its index
+    b_slot: dict[tuple[int, int], int] = {}
+    row_a: list[int] = []
+    row_b: list[int] = []
     for j, x in enumerate(basis):
-        for index, c in x.terms.items():
-            coeffs[slot[index], j] = c
-    kernel = np.zeros((len(labels), len(labels)), dtype=complex)
-    for s, label in enumerate(labels):
-        for t in range(s, len(labels)):
-            value = state.kernel(label, labels[t])
-            if value:
-                kernel[s, t] = value
-                kernel[t, s] = value.conjugate()
-    return coeffs.conj().T @ kernel @ coeffs
+        for label, c in x.terms.items():
+            key = (label._pa, label._pb, label._q)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = len(flat)
+                flat += empty_row
+                pa, pb, q = key
+                g = gcd(pa, q)
+                row_a.append(a_slot.setdefault((pa // g, q // g), len(a_slot)))
+                g = gcd(pb, q)
+                row_b.append(b_slot.setdefault((pb // g, q // g), len(b_slot)))
+            flat[row + j] = c
+    a_vals, b_vals = list(a_slot), list(b_slot)
+    ia, ib = np.array(row_a, dtype=np.intp), np.array(row_b, dtype=np.intp)
+    envelope = _envelope(a_vals)[ia[:, None], ia] * _envelope(b_vals)[ib[:, None], ib]
+    needed = np.zeros(len(a_vals) * len(b_vals), dtype=bool)
+    needed[(ia[:, None] * len(b_vals) + ib)[envelope != 0]] = True
+    phases = [0j] * len(needed)
+    for k in np.flatnonzero(needed).tolist():
+        (na, da), (nb, db) = a_vals[k // len(b_vals)], b_vals[k % len(b_vals)]
+        phases[k] = phase_ratio(na * nb, 2 * da * db)
+    phases = np.array(phases, dtype=complex).reshape(len(a_vals), len(b_vals))
+    cross = phases[ia[:, None], ib]  # P[a_s, b_t]
+    coeffs = np.array(flat, dtype=complex).reshape(len(rows), width)
+    coeffs *= phases[ia, ib].conj()[:, None]
+    return coeffs, cross * cross.conj().T * envelope
+
+
+def _envelope(values: list[tuple[int, int]]) -> np.ndarray:
+    """E[i, j] = exp(-(u_i - u_j)^2 / 4) for the rationals u = n/d in ``values``.
+
+    Each square is an exact integer ratio, correctly rounded once; past the
+    float range it gives exactly 0, as the vacuum's value does.  A pair whose
+    float gap exceeds 55 is skipped: below 2**40 the gap is within 2**-11 of
+    the exact one, so (u_i - u_j)^2 / 4 > 748 and the exp is exactly 0 too.
+    """
+    import numpy as np
+
+    k = len(values)
+    near = [n / d if abs(n) < d << 40 else math.nan for n, d in values]
+    out = [0.0] * (k * k)
+    for i, (n, d) in enumerate(values):
+        out[i * k + i] = 1.0
+        for j in range(i):
+            if abs(near[i] - near[j]) > 55.0:
+                continue
+            m, e = values[j]
+            num = n * e - m * d
+            try:
+                value = math.exp(-(num * num / (4 * d * d * e * e)))
+            except OverflowError:
+                value = 0.0
+            out[i * k + j] = out[j * k + i] = value
+    return np.array(out).reshape(k, k)
 
 
 def _reduction_matrix(state: StateFunctional, basis: list[WeylElement]) -> np.ndarray:
@@ -251,15 +327,22 @@ def check_positivity(state: StateFunctional, basis: Sequence[WeylElement]) -> fl
     Raises :class:`EigensolverError` if the eigensolver fails, so a broken
     iteration is never reported as a negative eigenvalue.
     """
-    import numpy as np
-
     basis = list(basis)
     if not basis:
         raise ValueError("basis must be non-empty")
     if len(basis) > 64:
         raise ValueError("basis too large (limit 64)")
-    g = gram_matrix(state, basis)
-    hermitian = (g + g.conj().T) / 2.0
+    return least_eigenvalue(gram_matrix(state, basis))
+
+
+def least_eigenvalue(gram: np.ndarray) -> float:
+    """Least eigenvalue of the Hermitian part of a Gram matrix.
+
+    Raises :class:`EigensolverError` if the eigensolver fails.
+    """
+    import numpy as np
+
+    hermitian = (gram + gram.conj().T) / 2.0
     try:
         eigenvalues = np.linalg.eigvalsh(hermitian)
     except np.linalg.LinAlgError as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from . import almost_periodic as ap
 from . import gns, reps, schrodinger
 from .algebra import EXACT_TOL, WeylElement, WeylIndex, generator, identity, phase
-from .states import (BROKEN_DIRECTION, StateFunctional, check_positivity, gram_matrix,
+from .states import (BROKEN_DIRECTION, StateFunctional, gram_matrix, least_eigenvalue,
                      momentum_state, position_state, vacuum_state)
 
 SUM_TOL = 1e-10  # associativity of 3-term products; Cauchy-Schwarz excess
@@ -335,19 +335,20 @@ def gram_positivity(rng: random.Random, states: States, bases: int) -> CheckResu
         sharp = state.kind in BROKEN_DIRECTION
         for _ in range(bases):
             basis = [_rand_generator(rng) for _ in range(rng.randint(1, 8))]
-            min_eig = min(min_eig, check_positivity(state, basis))
+            gram = gram_matrix(state, basis)
+            min_eig = min(min_eig, least_eigenvalue(gram))
             if sharp:
-                gap = max(gap, _gram_gap(state, basis))
+                gap = max(gap, _gram_gap(state, basis, gram.tolist()))
     return CheckResult(
         "gns", f"Gram matrices positive semidefinite, {bases} random bases per state",
         min_eig >= PSD_FLOOR and gap <= EXACT_TOL,
         f"min eigenvalue {min_eig:.2e}, sharp Gram gap to gns_inner {gap:.2e}")
 
 
-def _gram_gap(state: StateFunctional, basis: list[WeylElement]) -> float:
-    gram = gram_matrix(state, basis).tolist()
+def _gram_gap(state: StateFunctional, basis: list[WeylElement],
+              cells: list[list[complex]]) -> float:
     vectors = [gns.GnsVector(x, state) for x in basis]
-    return max(abs(gram[i][j] - gns.gns_inner(u, v))
+    return max(abs(cells[i][j] - gns.gns_inner(u, v))
                for i, u in enumerate(vectors) for j, v in enumerate(vectors[i:], i))
 
 

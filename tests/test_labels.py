@@ -15,6 +15,7 @@ run it as a script to check the contract on an interpreter without them:
 """
 
 import cmath
+import math
 import random
 import sys
 from fractions import Fraction
@@ -240,9 +241,53 @@ def test_reductions_equal_the_fraction_route():
                     {point: bits(c) for point, c in expected.items()}
 
 
+def reference_vacuum_factors(basis: list, np) -> tuple:
+    """C' and K' of the vacuum's Gram matrix C'^H K' C' on ``Fraction`` labels.
+
+    Labels, a values and b values are numbered in the order the terms first
+    reach them; P[a, b] = phase(a b / 2), row s of C' is scaled by
+    conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s]) times
+    exp(-(a_s - a_t)^2 / 4) exp(-(b_s - b_t)^2 / 4), 0 past the float range.
+    P is 0 where no cell with a nonzero envelope reads it.
+    """
+    labels = list(dict.fromkeys((label.a, label.b) for x in basis for label in x.terms))
+    a_vals = list(dict.fromkeys(a for a, _ in labels))
+    b_vals = list(dict.fromkeys(b for _, b in labels))
+    ia = [a_vals.index(a) for a, _ in labels]
+    ib = [b_vals.index(b) for _, b in labels]
+
+    def envelope(values):
+        out = []
+        for u in values:
+            row = []
+            for v in values:
+                try:
+                    row.append(math.exp(-float((u - v) ** 2 / 4)))
+                except OverflowError:
+                    row.append(0.0)
+            out.append(row)
+        return out
+
+    env_a, env_b = envelope(a_vals), envelope(b_vals)
+    needed = {(a, b2) for a, b in zip(ia, ib) for a2, b2 in zip(ia, ib)
+              if env_a[a][a2] * env_b[b][b2]}
+    phases = [[phase(a * b / 2) if (i, j) in needed else 0j for j, b in enumerate(b_vals)]
+              for i, a in enumerate(a_vals)]
+    coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
+    for j, x in enumerate(basis):
+        for label, c in x.terms.items():
+            coeffs[labels.index((label.a, label.b)), j] = c
+    coeffs *= np.array([phases[a][b].conjugate() for a, b in zip(ia, ib)])[:, None]
+    cross = np.array([[phases[a][b] for b in ib] for a in ia], dtype=complex)
+    envelopes = np.array([[env_a[a][a2] * env_b[b][b2] for a2, b2 in zip(ia, ib)]
+                          for a, b in zip(ia, ib)])
+    return coeffs, cross * cross.conj().T * envelopes
+
+
 def test_gram_matrix_equals_the_fraction_route():
-    """The vacuum is C^H K C over the sorted labels; a sharp state is R^H R,
-    its rows the points in the order the terms first reach them."""
+    """The vacuum is C'^H K' C' over the labels in the order the terms first
+    reach them; a sharp state is R^H R, its rows the points in the order the
+    terms first reach them."""
     import numpy as np
 
     from weylreps.states import gram_matrix
@@ -252,18 +297,7 @@ def test_gram_matrix_equals_the_fraction_route():
         basis = words(rng, scale, 12)
         for state in states_at(rng, scale):
             if state.kind == "vacuum":
-                labels = sorted({(label.a, label.b) for x in basis for label in x.terms})
-                coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
-                for j, x in enumerate(basis):
-                    for label, c in x.terms.items():
-                        coeffs[labels.index((label.a, label.b)), j] = c
-                kernel = np.zeros((len(labels), len(labels)), dtype=complex)
-                for s, label in enumerate(labels):
-                    for t in range(s, len(labels)):
-                        value = reference_kernel(state, label, labels[t])
-                        if value:
-                            kernel[s, t] = value
-                            kernel[t, s] = value.conjugate()
+                coeffs, kernel = reference_vacuum_factors(basis, np)
                 expected = coeffs.conj().T @ kernel @ coeffs
             else:
                 columns = [reference_reduction(state, x) for x in basis]

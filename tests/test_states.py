@@ -186,6 +186,33 @@ def test_gram_matrix_of_a_sharp_state_takes_one_phase_per_label(monkeypatch):
     assert kernel_calls == []
 
 
+def test_gram_matrix_of_the_vacuum_takes_one_phase_per_a_and_b_value(monkeypatch):
+    from weylreps import states
+
+    kernel_calls, phase_calls = [], []
+    kernel, phase_ratio = StateFunctional.kernel, states.phase_ratio
+    monkeypatch.setattr(StateFunctional, "kernel",
+                        lambda self, s, t: kernel_calls.append(1) or kernel(self, s, t))
+    monkeypatch.setattr(states, "phase_ratio",
+                        lambda p, q: phase_calls.append(1) or phase_ratio(p, q))
+    rng = random.Random(18)
+    # a = 1/2 is stored over q = 6 in the first label and over q = 2 in the second
+    bases = [[generator(Fraction(1, 2), Fraction(1, 3)), generator(Fraction(1, 2), 0),
+              generator(0, Fraction(1, 3))]]
+    bases += [alphabet_basis(rng, 16) for _ in range(3)]
+    for basis in bases:
+        labels = {label for x in basis for label in x.terms}
+        a_vals, b_vals = {label.a for label in labels}, {label.b for label in labels}
+        phase_calls.clear()
+        gram_matrix(vacuum_state(), basis)
+        assert len(phase_calls) == len(a_vals) * len(b_vals) < len(labels) ** 2
+    # a phase that only cells beyond the Gaussian's reach would read is not taken
+    phase_calls.clear()
+    g = gram_matrix(vacuum_state(), [generator(0, 0), generator(100, 100)])
+    assert len(phase_calls) == 2 and g[0, 1] == 0
+    assert kernel_calls == []
+
+
 def exact_angle_gram(state, basis, mpmath):
     """state(x_i* x_j) summed term by term, each phase taken at 60 digits.
 
@@ -226,6 +253,52 @@ def test_gram_matrix_exact_angles_at_large_labels(state):
     exact = exact_angle_gram(state, basis, mpmath)
     assert np.count_nonzero(exact) > 2 * len(basis)
     assert np.max(np.abs(gram_matrix(state, basis) - exact)) <= 1e-12
+
+
+def exact_vacuum_gram(basis, mpmath):
+    """vacuum(x_i* x_j) summed term by term at 150 digits.
+
+    W(s)* W(t) = exp(i (a_s - a_t) b_s) W(t - s), and the vacuum's value on
+    W(a, b) is exp(-i a b / 2) exp(-(a^2 + b^2) / 4).
+    """
+    g = np.zeros((len(basis), len(basis)), dtype=complex)
+    with mpmath.workdps(150):
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                total = mpmath.mpc(0)
+                for (a_s, b_s), c in x.terms.items():
+                    for (a_t, b_t), d in y.terms.items():
+                        a, b = a_t - a_s, b_t - b_s
+                        angle = -a * b_s - a * b / 2
+                        square = (a * a + b * b) / 4
+                        total += (
+                            mpmath.conj(mpmath.mpc(c))
+                            * mpmath.mpc(d)
+                            * mpmath.expj(mpmath.mpf(angle.numerator) / angle.denominator)
+                            * mpmath.exp(-mpmath.mpf(square.numerator) / square.denominator)
+                        )
+                g[i, j] = complex(total)
+    return g
+
+
+@pytest.mark.parametrize("scale", [10**8, 10**50], ids=["1e8", "1e50"])
+def test_vacuum_gram_matrix_exact_angles_at_large_labels(scale):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    # one large base per axis and offsets k/12, |k| <= 36, so that most
+    # label pairs are within reach of the Gaussian envelope
+    a_base, b_base = rng.choice((-scale, scale)), rng.choice((-scale, scale))
+    a_vals = [a_base + Fraction(k, 12) for k in rng.sample(range(-36, 37), 4)]
+    b_vals = [b_base + Fraction(k, 12) for k in rng.sample(range(-36, 37), 4)]
+    alphabet = [(a, b) for a in a_vals for b in b_vals]
+    basis = [
+        WeylElement({WeylIndex(a, b): rand_coeff(rng)
+                     for a, b in rng.sample(alphabet, rng.randint(1, 4))})
+        for _ in range(16)
+    ]
+    exact = exact_vacuum_gram(basis, mpmath)
+    assert np.count_nonzero(exact) > len(basis) ** 2 // 2
+    assert np.max(np.abs(gram_matrix(vacuum_state(), basis) - exact)) <= 1e-12
 
 
 def test_vacuum_beyond_the_float_range_is_exactly_zero():
