@@ -265,7 +265,7 @@ def _envelope(values: list[tuple[int, int]]) -> np.ndarray:
     Each square is an exact integer ratio, correctly rounded once; past the
     float range it gives exactly 0, as the vacuum's value does.  A pair whose
     float gap exceeds 55 is skipped: below 2**40 the gap is within 2**-11 of
-    the exact one, so (u_i - u_j)^2 / 4 > 748 and the exp is exactly 0 too.
+    the exact one, so (u_i - u_j)^2 / 4 > 756 and the exp is exactly 0 too.
     """
     import numpy as np
 
