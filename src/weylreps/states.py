@@ -206,14 +206,19 @@ def _vacuum_factors(basis: list[WeylElement]) -> tuple[np.ndarray, np.ndarray]:
         e^{i a_s b_s/2} e^{-i a_t b_t/2} e^{i (a_s b_t - a_t b_s)/2}
         e^{-(a_s - a_t)^2/4} e^{-(b_s - b_t)^2/4}.
 
-    With P[a, b] = e^{i a b/2} over the basis's distinct a values times its
-    distinct b values, row s of C' is the coefficients of W(s) in the words
-    times conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s])
-    E_a[a_s, a_t] E_b[b_s, b_t] with the envelopes of :func:`_envelope`.
-    Each P[a, b] is one ``phase_ratio`` on the lowest-terms integers, taken
-    only if a cell with a nonzero envelope reads it (else it is 0), so a
-    pair of labels beyond the Gaussian's reach costs no phase.  Like the
-    adjoint, this refuses (``ValueError``) an angle a b / 2 past 2**1023.
+    The phases of a cell add up to (a_s - a_t)(b_s + b_t)/2, which depends
+    on a only through differences, so a may be read from any origin a0; a0
+    is the a value the terms reach first.  With P[a, b] = e^{i (a - a0) b/2}
+    over the basis's distinct a values times its distinct b values, row s
+    of C' is the coefficients of W(s) in the words times conj(P[a_s, b_s]),
+    and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s]) E_a[a_s, a_t] E_b[b_s, b_t]
+    with the envelopes of :func:`_envelope`.  Each P[a, b] is one
+    ``phase_ratio`` on integers, taken only if a cell with a nonzero
+    envelope reads it (else it is 0), so a pair of labels beyond the
+    Gaussian's reach costs no phase.  Like the adjoint, this refuses
+    (``ValueError``) a phase it takes whose angle (a - a0) b / 2 passes
+    2**1023: labels near one another keep their range at every magnitude,
+    but the diagonal of W(0, 10**200) after W(10**200, 0) is refused.
 
     Rows, a values and b values are numbered in the order the terms first
     reach them; C' is filled as a flat list and converted once.  A basis
@@ -249,9 +254,10 @@ def _vacuum_factors(basis: list[WeylElement]) -> tuple[np.ndarray, np.ndarray]:
     needed = np.zeros(len(a_vals) * len(b_vals), dtype=bool)
     needed[(ia[:, None] * len(b_vals) + ib)[envelope != 0]] = True
     phases = [0j] * len(needed)
+    n0, d0 = a_vals[0] if a_vals else (0, 1)
     for k in np.flatnonzero(needed).tolist():
         (na, da), (nb, db) = a_vals[k // len(b_vals)], b_vals[k % len(b_vals)]
-        phases[k] = phase_ratio(na * nb, 2 * da * db)
+        phases[k] = phase_ratio((na * d0 - n0 * da) * nb, 2 * da * d0 * db)
     phases = np.array(phases, dtype=complex).reshape(len(a_vals), len(b_vals))
     cross = phases[ia[:, None], ib]  # P[a_s, b_t]
     coeffs = np.array(flat, dtype=complex).reshape(len(rows), width)
@@ -263,20 +269,15 @@ def _envelope(values: list[tuple[int, int]]) -> np.ndarray:
     """E[i, j] = exp(-(u_i - u_j)^2 / 4) for the rationals u = n/d in ``values``.
 
     Each square is an exact integer ratio, correctly rounded once; past the
-    float range it gives exactly 0, as the vacuum's value does.  A pair whose
-    float gap exceeds 55 is skipped: below 2**40 the gap is within 2**-11 of
-    the exact one, so (u_i - u_j)^2 / 4 > 756 and the exp is exactly 0 too.
+    float range it gives exactly 0, as the vacuum's value does.
     """
     import numpy as np
 
     k = len(values)
-    near = [n / d if abs(n) < d << 40 else math.nan for n, d in values]
     out = [0.0] * (k * k)
     for i, (n, d) in enumerate(values):
         out[i * k + i] = 1.0
         for j in range(i):
-            if abs(near[i] - near[j]) > 55.0:
-                continue
             m, e = values[j]
             num = n * e - m * d
             try:

@@ -256,13 +256,13 @@ def test_gram_matrix_exact_angles_at_large_labels(state):
 
 
 def exact_vacuum_gram(basis, mpmath):
-    """vacuum(x_i* x_j) summed term by term at 150 digits.
+    """vacuum(x_i* x_j) summed term by term at 300 digits.
 
     W(s)* W(t) = exp(i (a_s - a_t) b_s) W(t - s), and the vacuum's value on
     W(a, b) is exp(-i a b / 2) exp(-(a^2 + b^2) / 4).
     """
     g = np.zeros((len(basis), len(basis)), dtype=complex)
-    with mpmath.workdps(150):
+    with mpmath.workdps(300):
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
                 total = mpmath.mpc(0)
@@ -281,7 +281,7 @@ def exact_vacuum_gram(basis, mpmath):
     return g
 
 
-@pytest.mark.parametrize("scale", [10**8, 10**50], ids=["1e8", "1e50"])
+@pytest.mark.parametrize("scale", [10**8, 10**50, 10**200], ids=["1e8", "1e50", "1e200"])
 def test_vacuum_gram_matrix_exact_angles_at_large_labels(scale):
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(23)
@@ -299,6 +299,22 @@ def test_vacuum_gram_matrix_exact_angles_at_large_labels(scale):
     exact = exact_vacuum_gram(basis, mpmath)
     assert np.count_nonzero(exact) > len(basis) ** 2 // 2
     assert np.max(np.abs(gram_matrix(vacuum_state(), basis) - exact)) <= 1e-12
+
+
+def test_vacuum_gram_matrix_reads_a_from_the_first_a_value():
+    huge = 10**200
+    omega = vacuum_state()
+    # a single generator's cell is 1 whatever the size of a b
+    assert gram_matrix(omega, [generator(huge, huge)]).tolist() == [[1]]
+    assert check_positivity(omega, [generator(huge, huge), generator(huge + 1, huge)]) > 0
+    # a phase (a - a0) b / 2 past 2**1023 is refused, as the adjoint refuses
+    # it, although the labels are beyond each other's reach and the kernel
+    # route gives the identity
+    basis = [generator(huge, 0), generator(0, huge)]
+    with pytest.raises(ValueError, match="out of range"):
+        gram_matrix(omega, basis)
+    assert [[omega.kernel(s, t) for t in (WeylIndex(huge, 0), WeylIndex(0, huge))]
+            for s in (WeylIndex(huge, 0), WeylIndex(0, huge))] == [[1, 0], [0, 1]]
 
 
 def test_vacuum_beyond_the_float_range_is_exactly_zero():
