@@ -16,10 +16,10 @@ unit phase times one point vector, at b for position and at a for momentum
 (:meth:`StateFunctional._point`).  So its Gram matrix is ``R^H R`` for the
 matrix R of the words' canonical reductions.  The vacuum's value on
 W(s)* W(t) splits into a phase per generator, a phase per (a, b) pair of the
-basis's distinct values and a Gaussian per axis, so its Gram matrix is
-``C'^H K' C'`` built from exact per-axis tables.  Neither makes a kernel
-call: :meth:`StateFunctional.kernel` and ``gns.gns_inner`` stay an
-independent route to check them against.
+basis's distinct values (a read from the first a value) and a Gaussian per
+axis, so its Gram matrix is ``C'^H K' C'`` built from exact per-axis tables.
+Neither makes a kernel call: :meth:`StateFunctional.kernel` and
+``gns.gns_inner`` stay an independent route to check them against.
 
 Positivity is tested, not assumed: finite Gram matrices of the functional
 are handed to a dense Hermitian eigensolver and the minimum eigenvalue is
