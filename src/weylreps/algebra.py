@@ -137,6 +137,43 @@ def _complex(value, key) -> complex:
         raise ValueError(f"coefficient past the float range at {key}") from None
 
 
+class Record:
+    """Immutable record of the attributes named in ``_fields``.
+
+    A subclass's ``__init__`` writes each field once into the instance
+    dictionary.  A record equals a record of the same class whose fields are
+    equal, hashes as the tuple of its fields, shows as
+    ``Name(field=value, ...)``, and refuses assignment and deletion with
+    ``AttributeError``.  Plain methods, not ``dataclasses``: importing that
+    loads ``inspect`` and ``ast``, which every CLI process would pay for.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        values = self.__dict__
+        return tuple(values[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _modulus(key, c: complex) -> float:
     """``abs(c)``, refusing with ``ValueError`` a value no map may hold.
 

@@ -17,12 +17,11 @@ real momentum value coexists with a point position".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence, Tuple
 
-from .algebra import RationalLike, SparseMap, as_float, as_fraction, phase
+from .algebra import RationalLike, Record, SparseMap, as_float, as_fraction, phase
 from .reps import v_direction_matrix_element
 
 
@@ -123,12 +122,14 @@ def haar_fourier(a: RationalLike) -> complex:
     return (1.0 + 0j) if as_fraction(a) == 0 else 0j
 
 
-@dataclass(frozen=True)
-class FourierWitness:
+class FourierWitness(Record):
     """Per-probe comparison of momentum spectral data with the mean's."""
 
-    point: Fraction
-    rows: Tuple[Tuple[Fraction, complex, complex], ...]  # (probe, measured, mean)
+    _fields = ("point", "rows")
+
+    def __init__(self, point: Fraction, rows: Tuple[Tuple[Fraction, complex, complex], ...]):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "rows", rows)  # (probe, measured, mean)
 
     @property
     def passed(self) -> bool:

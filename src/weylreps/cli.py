@@ -6,10 +6,14 @@ failed, 2 usage or parse error.  The environment variable ``WEYLREPS_SEED``
 overrides ``--seed`` wherever randomness is involved, and the effective seed
 is always printed so failures reproduce exactly.
 
-Only ``verify`` computes with numpy, through the grid oracle, the Gram
-eigensolver and the sup-norm bracket, and those functions import it when
-they run.  Every other subcommand, ``mean`` included, starts without it,
-which keeps a short request's process start cheap.
+Each request is a fresh process, so all it loads before computing is paid
+on every request.  Only ``verify`` computes with numpy, through the grid
+oracle, the Gram eigensolver and the sup-norm bracket, and those functions
+import it when they run.  Only ``verify`` imports ``weylreps.verify``:
+``--suite`` takes its choices from ``SUITE_NAMES`` here, which a test keeps
+equal to the registry's.  No module of the package imports ``dataclasses``
+(it loads ``inspect`` and ``ast``), and each JSON result is written from one
+``json.dumps`` string: ``json.dump`` to a stream bypasses the C encoder.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from fractions import Fraction
 
 from . import gns, schrodinger, serialize
 from .algebra import as_fraction
-from .verify import SUITE_NAMES, run_suites
+
+#: ``verify.SUITE_NAMES``, written out so that parsing does not load ``verify``
+SUITE_NAMES = ("algebra", "reps", "gns", "ap", "oracle", "all")
 
 
 class InputError(Exception):
@@ -35,6 +41,8 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -76,8 +84,7 @@ def _complex_record(value: complex) -> dict:
 def _cmd_product(args) -> int:
     left = _load_records(args.left, "term", serialize.element_from_records)
     right = _load_records(args.right, "term", serialize.element_from_records)
-    json.dump(serialize.element_to_records(left * right), sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(serialize.element_to_records(left * right)) + "\n")
     return 0
 
 
@@ -85,8 +92,7 @@ def _cmd_eval_state(args) -> int:
     state = _state_from_arg(args.state)
     element = _load_records(args.element, "term", serialize.element_from_records)
     value = state(element)
-    json.dump(_complex_record(value), sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(_complex_record(value)) + "\n")
     return 0
 
 
@@ -112,8 +118,7 @@ def _cmd_gns_build(args) -> int:
     if reduced[0] is not None:  # a sharp state
         out["reductions"] = [[{"shift": str(key), "re": amp.real, "im": amp.imag}
                               for key, amp in sorted(r.amplitudes.items())] for r in reduced]
-    json.dump(out, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(out) + "\n")
     return 0
 
 
@@ -142,6 +147,8 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     seed = args.seed
     env_seed = os.environ.get("WEYLREPS_SEED")
     if env_seed is not None:

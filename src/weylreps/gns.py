@@ -25,13 +25,13 @@ sharp state is broken, the one that translates its point model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .algebra import (
     EXACT_TOL,
     RationalLike,
+    Record,
     WeylElement,
     as_fraction,
     generator,
@@ -66,12 +66,14 @@ class OwnerMismatchError(ValueError):
     """Vectors built over different states are not comparable."""
 
 
-@dataclass(frozen=True)
-class GnsVector:
+class GnsVector(Record):
     """Formal word applied to the cyclic vector of ``owner``."""
 
-    word: WeylElement
-    owner: StateFunctional
+    _fields = ("word", "owner")
+
+    def __init__(self, word: WeylElement, owner: StateFunctional):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "owner", owner)
 
     def _check_owner(self, other: "GnsVector") -> None:
         if self.owner != other.owner:
@@ -257,8 +259,7 @@ def regularity_fingerprint(state: StateFunctional) -> Tuple[bool, bool]:
     return is_regular_direction(state, U_DIRECTION), is_regular_direction(state, V_DIRECTION)
 
 
-@dataclass(frozen=True)
-class EigenvectorWitness:
+class EigenvectorWitness(Record):
     """Executable record that a sharp eigenvector kills the other family;
     every field depends on the state (the algebra's identities do not).
 
@@ -276,11 +277,16 @@ class EigenvectorWitness:
                                must be exactly 0 away from parameter 0.
     """
 
-    state: StateFunctional
-    eigen_deviation: float
-    gram_residual: float
-    chain_deviation: float
-    broken_elements: Tuple[Tuple[Fraction, complex], ...]
+    _fields = ("state", "eigen_deviation", "gram_residual", "chain_deviation",
+               "broken_elements")
+
+    def __init__(self, state: StateFunctional, eigen_deviation: float, gram_residual: float,
+                 chain_deviation: float, broken_elements: Tuple[Tuple[Fraction, complex], ...]):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "eigen_deviation", eigen_deviation)
+        object.__setattr__(self, "gram_residual", gram_residual)
+        object.__setattr__(self, "chain_deviation", chain_deviation)
+        object.__setattr__(self, "broken_elements", broken_elements)
 
     @property
     def vanishing_exact(self) -> bool:

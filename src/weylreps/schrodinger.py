@@ -18,9 +18,9 @@ it: the truncated mean and its bound are plain ``math`` and run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
+from .algebra import Record
 from .almost_periodic import TrigPolynomial
 
 if TYPE_CHECKING:
@@ -38,12 +38,14 @@ def _trapz(y: np.ndarray, dx: float):
     return (getattr(np, "trapezoid", None) or np.trapz)(y, dx=dx)  # trapz before 2.0
 
 
-@dataclass(frozen=True)
-class GridWavefunction:
+class GridWavefunction(Record):
     """Complex samples on a uniform grid, unit norm after construction."""
 
-    x: np.ndarray
-    psi: np.ndarray
+    _fields = ("x", "psi")
+
+    def __init__(self, x: np.ndarray, psi: np.ndarray):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "psi", psi)
 
     @property
     def step(self) -> float:

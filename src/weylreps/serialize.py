@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import IO, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .algebra import WeylElement, WeylIndex, as_fraction
@@ -67,9 +68,10 @@ def _parameter_field(kind) -> Optional[str]:
 
 
 def element_to_records(element: WeylElement) -> list[dict]:
+    # sorted on the labels alone: they are unique, so no coefficient is compared
     return [
         {"a": str(a), "b": str(b), "re": c.real, "im": c.imag}
-        for (a, b), c in sorted(element.terms.items())
+        for (a, b), c in sorted(element.terms.items(), key=itemgetter(0))
     ]
 
 

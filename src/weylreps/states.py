@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import RationalLike, WeylElement, WeylIndex, as_fraction, phase_ratio
+from .algebra import RationalLike, Record, WeylElement, WeylIndex, as_fraction, phase_ratio
 from .reps import MOMENTUM, POSITION
 
 # numpy is imported inside the functions that compute with it, so
@@ -57,20 +56,28 @@ class EigensolverError(RuntimeError):
     """Eigenvalue iteration failed; distinct from a negative verdict."""
 
 
-@dataclass(frozen=True)
-class StateFunctional:
+class StateFunctional(Record):
     """Positive normalised linear functional on the generator algebra."""
 
-    kind: str
-    parameter: Optional[Fraction] = None
+    _fields = ("kind", "parameter")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown state kind: {self.kind!r}")
-        if self.kind == VACUUM and self.parameter is not None:
+    def __init__(self, kind: str, parameter: Optional[Fraction] = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown state kind: {kind!r}")
+        if kind == VACUUM and parameter is not None:
             raise ValueError("the vacuum state takes no parameter")
-        if self.kind != VACUUM and self.parameter is None:
-            raise ValueError(f"{self.kind} state needs a rational parameter")
+        if kind != VACUUM and parameter is None:
+            raise ValueError(f"{kind} state needs a rational parameter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parameter", parameter)
+
+    def __eq__(self, other):  # every gns_inner compares two owners
+        if other.__class__ is self.__class__:
+            return (self.kind, self.parameter) == (other.kind, other.parameter)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.parameter))
 
     def generator_value(self, a: RationalLike, b: RationalLike) -> complex:
         """Value on the single generator W(a, b)."""

@@ -10,13 +10,12 @@ that order; the oracle properties take the grid wavefunction they test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import almost_periodic as ap
 from . import gns, reps, schrodinger
-from .algebra import EXACT_TOL, WeylElement, WeylIndex, generator, identity, phase
+from .algebra import EXACT_TOL, Record, WeylElement, WeylIndex, generator, identity, phase
 from .states import (BROKEN_DIRECTION, StateFunctional, gram_matrix, least_eigenvalue,
                      momentum_state, position_state, vacuum_state)
 
@@ -34,12 +33,14 @@ AVERAGE_N = 1000.0  # half-length of the truncated averages
 States = Sequence[StateFunctional]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    _fields = ("suite", "name", "passed", "detail")
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def rand_fraction(rng: random.Random, max_abs: int = 10, max_den: int = 12,

@@ -1,6 +1,7 @@
 import cmath
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import weylreps
+from weylreps import cli, verify
 from weylreps.cli import main
 
 
@@ -365,3 +367,64 @@ def test_gns_build_vacuum_has_no_reductions(capsys, tmp_path):
     assert main(["gns-build", "--state", "vacuum", words]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["state", "norms", "gram"]
+
+
+def test_json_results_are_written_in_the_standard_separators(capsys, tmp_path, u1_file, v1_file):
+    words = write_json(tmp_path / "words.json", [[{"a": "0", "b": "0", "re": 1.0, "im": 0.0}]])
+    requests = [
+        (["product", u1_file, v1_file], '[{"a": "1", "b": "1", "re": 1.0, "im": 0.0}]\n'),
+        (["eval-state", "--state", "momentum:0", v1_file], '{"re": 1.0, "im": 0.0}\n'),
+        (["gns-build", "--state", "vacuum", words],
+         '{"state": {"kind": "vacuum"}, "norms": [1.0], "gram": [[{"re": 1.0, "im": 0.0}]]}\n'),
+    ]
+    for argv, expected in requests:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "{bad}", "{good}"],
+        ["product", "{good}", "{bad}"],
+        ["eval-state", "--state", "vacuum", "{bad}"],
+        ["gns-build", "--state", "vacuum", "{bad}"],
+        ["mean", "{bad}"],
+    ],
+    ids=["product-left", "product-right", "eval-state", "gns-build", "mean"],
+)
+def test_file_that_is_not_utf8_is_named_and_exits_2(capsys, tmp_path, u1_file, argv):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff\xfe[]")
+    argv = [arg.format(bad=bad, good=u1_file) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0:"
+                            " invalid start byte\n")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_verify():
+    proc = run_fresh(
+        "-c",
+        "import sys; before = set(sys.modules); import weylreps.cli; "
+        "print(sorted(set(sys.modules) - before))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = eval(proc.stdout)
+    assert "weylreps.gns" in added
+    assert [m for m in ("dataclasses", "inspect", "weylreps.verify") if m in added] == []
+
+
+def test_unknown_suite_exits_2_with_the_argparse_choices_without_loading_verify():
+    proc = run_fresh("-X", "importtime", "-m", "weylreps.cli", "verify", "--suite", "nope")
+    assert proc.returncode == 2
+    assert "weylreps.verify" not in imported_modules(proc.stderr)
+    (message,) = [ln for ln in proc.stderr.splitlines() if ln.startswith("weylreps verify:")]
+    assert message.startswith("weylreps verify: error: argument --suite: invalid choice: 'nope'")
+    choices = message.partition("(choose from ")[2]
+    assert re.findall(r"\w+", choices) == list(verify.SUITE_NAMES)
+
+
+def test_suite_choices_are_the_registry_suite_names():
+    assert cli.SUITE_NAMES == verify.SUITE_NAMES
