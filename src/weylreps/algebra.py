@@ -140,19 +140,18 @@ def _complex(value, key) -> complex:
 class Record:
     """Immutable record of the attributes named in ``_fields``.
 
-    A subclass's ``__init__`` writes each field once into the instance
-    dictionary.  A record equals a record of the same class whose fields are
-    equal, hashes as the tuple of its fields, shows as
-    ``Name(field=value, ...)``, and refuses assignment and deletion with
-    ``AttributeError``.  Plain methods, not ``dataclasses``: importing that
-    loads ``inspect`` and ``ast``, which every CLI process would pay for.
+    A subclass's ``__init__`` sets each field once, by ``object.__setattr__``.
+    A record equals a record of the same class whose fields are equal,
+    hashes as the tuple of its fields, shows as ``Name(field=value, ...)``,
+    and refuses assignment and deletion with ``AttributeError``.  Plain
+    methods, not ``dataclasses``: importing that loads ``inspect`` and
+    ``ast``, which every CLI process would pay for.
     """
 
     _fields: Tuple[str, ...] = ()
 
     def _astuple(self) -> tuple:
-        values = self.__dict__
-        return tuple(values[name] for name in self._fields)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
