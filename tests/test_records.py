@@ -42,7 +42,6 @@ FIELDS = {
                          "broken_elements"),
     FourierWitness: ("point", "rows"),
     CheckResult: ("suite", "name", "passed", "detail"),
-    GridWavefunction: ("x", "psi"),
 }
 
 
