@@ -140,15 +140,30 @@ def _complex(value, key) -> complex:
 class Record:
     """Immutable record of the attributes named in ``_fields``.
 
-    A subclass's ``__init__`` sets each field once, by ``object.__setattr__``.
-    A record equals a record of the same class whose fields are equal,
-    hashes as the tuple of its fields, shows as ``Name(field=value, ...)``,
+    The constructor sets each field once, by position or by keyword; a
+    subclass that validates, or is built on a hot path, writes its own.  A
+    record equals a record of the same class whose fields are equal, hashes
+    as the tuple of its fields, shows as ``Name(field=value, ...)``,
     and refuses assignment and deletion with ``AttributeError``.  Plain
     methods, not ``dataclasses``: importing that loads ``inspect`` and
     ``ast``, which every CLI process would pay for.
     """
 
     _fields: Tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields or field in values:
+                raise TypeError(f"{name} got an unknown or repeated field {field!r}")
+            values[field] = value
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name} is missing the field {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

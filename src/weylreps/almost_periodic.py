@@ -123,13 +123,10 @@ def haar_fourier(a: RationalLike) -> complex:
 
 
 class FourierWitness(Record):
-    """Per-probe comparison of momentum spectral data with the mean's."""
+    """Per-probe comparison of momentum spectral data with the mean's;
+    ``rows`` holds (probe, measured, mean) triples."""
 
     _fields = ("point", "rows")
-
-    def __init__(self, point: Fraction, rows: Tuple[Tuple[Fraction, complex, complex], ...]):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "rows", rows)  # (probe, measured, mean)
 
     @property
     def passed(self) -> bool:

@@ -60,13 +60,6 @@ def _load_records(path: str, what: str, read):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _state_from_arg(text: str):
-    try:
-        return serialize.parse_state_arg(text)
-    except serialize.RecordError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _grid_from_arg(text: str) -> list[Fraction]:
     try:
         grid = [as_fraction(part.strip()) for part in text.split(",") if part.strip()]
@@ -89,7 +82,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_eval_state(args) -> int:
-    state = _state_from_arg(args.state)
+    state = serialize.parse_state_arg(args.state)
     element = _load_records(args.element, "term", serialize.element_from_records)
     value = state(element)
     sys.stdout.write(json.dumps(_complex_record(value)) + "\n")
@@ -97,7 +90,7 @@ def _cmd_eval_state(args) -> int:
 
 
 def _cmd_gns_build(args) -> int:
-    state = _state_from_arg(args.state)
+    state = serialize.parse_state_arg(args.state)
     payload = _load_json(args.words)
     if not isinstance(payload, list) or not payload:
         raise InputError(f"{args.words}: expected a non-empty list of elements")
@@ -123,7 +116,7 @@ def _cmd_gns_build(args) -> int:
 
 
 def _cmd_continuity_scan(args) -> int:
-    state = _state_from_arg(args.state)
+    state = serialize.parse_state_arg(args.state)
     grid = _grid_from_arg(args.grid)
     rows = gns.continuity_scan(state, args.direction, grid)
     serialize.scan_to_csv(rows, sys.stdout)
@@ -135,7 +128,7 @@ def _cmd_mean(args) -> int:
 
     exact = poly.invariant_mean()
     approx = schrodinger.mean_quadrature(poly, args.quadrature_n)
-    bound = schrodinger.truncation_bound(poly, args.quadrature_n) + 1e-6
+    bound = schrodinger.truncation_bound(poly, args.quadrature_n) + schrodinger.QUADRATURE_SLACK
     gap = abs(approx - exact)
     print(f"exact mean:        {exact.real!r} {exact.imag!r}")
     print(f"truncated average: {approx.real!r} {approx.imag!r}  (N={args.quadrature_n:g})")

@@ -49,7 +49,7 @@ from .reps import (
     inner,
 )
 from .states import (BROKEN_DIRECTION, U_DIRECTION, V_DIRECTION, StateFunctional,
-                     position_state)
+                     _point_rows, position_state)
 
 #: default probe parameters for witnesses and scans
 DEFAULT_PROBES: Tuple[Fraction, ...] = (
@@ -76,7 +76,8 @@ class GnsVector(Record):
         object.__setattr__(self, "owner", owner)
 
     def _check_owner(self, other: "GnsVector") -> None:
-        if self.owner != other.owner:
+        # identity first: vectors of one build share their owner object
+        if self.owner is not other.owner and self.owner != other.owner:
             raise OwnerMismatchError(
                 f"vectors owned by {self.owner!r} and {other.owner!r}"
             )
@@ -162,13 +163,13 @@ def gns_apply(x: WeylElement, v: GnsVector) -> GnsVector:
 def is_null(v: GnsVector) -> bool:
     """Null-vector test.
 
-    For the vacuum the squared norm must fall below 1e-12.  For sharp
+    For the vacuum the squared norm must fall below ``EXACT_TOL``.  For sharp
     position/momentum states the canonical reduction is exact (unit phases
     cancel bit-for-bit on equal keys), so nullity means an empty reduction.
     """
     reduced = _reduction(v)
     if reduced is None:
-        return _squared_norm(v) < 1e-12
+        return _squared_norm(v) < EXACT_TOL
     return not reduced
 
 
@@ -207,15 +208,11 @@ def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
 
 
 def _reduce(v: GnsVector) -> FiniteSupportVector:
-    """Sum the terms on the owner's point model (``StateFunctional._point``),
-    as a vector of the owner's flavor."""
-    point = v.owner._point
-    out: dict[Fraction, complex] = {}
-    for index, c in v.word.terms.items():
-        n, d, amplitude = point(index._pa, index._pb, index._q)
-        key = Fraction(n, d)
-        out[key] = out.get(key, 0j) + c * amplitude
-    return FiniteSupportVector(out, v.owner.kind)
+    """The word summed on the owner's point model (``states._point_rows``,
+    which also fills ``gram_matrix``'s R), as a vector of the owner's flavor."""
+    rows, flat = _point_rows(v.owner, [v.word])
+    return FiniteSupportVector({Fraction(n, d): flat[row] for (n, d), row in rows.items()},
+                               v.owner.kind)
 
 
 def _direction(direction: str) -> str:
@@ -279,14 +276,6 @@ class EigenvectorWitness(Record):
 
     _fields = ("state", "eigen_deviation", "gram_residual", "chain_deviation",
                "broken_elements")
-
-    def __init__(self, state: StateFunctional, eigen_deviation: float, gram_residual: float,
-                 chain_deviation: float, broken_elements: Tuple[Tuple[Fraction, complex], ...]):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "eigen_deviation", eigen_deviation)
-        object.__setattr__(self, "gram_residual", gram_residual)
-        object.__setattr__(self, "chain_deviation", chain_deviation)
-        object.__setattr__(self, "broken_elements", broken_elements)
 
     @property
     def vanishing_exact(self) -> bool:

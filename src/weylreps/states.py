@@ -14,12 +14,13 @@ Three built-in kinds:
 A sharp state has a point model: W(a, b) applied to its cyclic vector is a
 unit phase times one point vector, at b for position and at a for momentum
 (:meth:`StateFunctional._point`).  So its Gram matrix is ``R^H R`` for the
-matrix R of the words' canonical reductions.  The vacuum's value on
-W(s)* W(t) splits into a phase per generator, a phase per (a, b) pair of the
-basis's distinct values (a read from the first a value) and a Gaussian per
-axis, so its Gram matrix is ``C'^H K' C'`` built from exact per-axis tables.
-Neither makes a kernel call: :meth:`StateFunctional.kernel` and
-``gns.gns_inner`` stay an independent route to check them against.
+matrix R of the words' canonical reductions (:func:`_point_rows`).  The
+vacuum's value on W(s)* W(t) splits into a phase per generator, a phase per
+(a, b) pair of the basis's distinct values (a read from its group's first a
+value) and a Gaussian per axis, so its Gram matrix is ``C'^H K' C'`` built
+from exact per-axis tables.  Neither makes a kernel call:
+:meth:`StateFunctional.kernel` and ``gns.gns_inner`` stay an independent
+route to check them against.
 
 Positivity is tested, not assumed: finite Gram matrices of the functional
 are handed to a dense Hermitian eigensolver and the minimum eigenvalue is
@@ -70,14 +71,6 @@ class StateFunctional(Record):
             raise ValueError(f"{kind} state needs a rational parameter")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "parameter", parameter)
-
-    def __eq__(self, other):  # every gns_inner compares two owners
-        if other.__class__ is self.__class__:
-            return (self.kind, self.parameter) == (other.kind, other.parameter)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.parameter))
 
     def generator_value(self, a: RationalLike, b: RationalLike) -> complex:
         """Value on the single generator W(a, b)."""
@@ -214,18 +207,22 @@ def _vacuum_factors(basis: list[WeylElement]) -> tuple[np.ndarray, np.ndarray]:
         e^{-(a_s - a_t)^2/4} e^{-(b_s - b_t)^2/4}.
 
     The phases of a cell add up to (a_s - a_t)(b_s + b_t)/2, which depends
-    on a only through differences, so a may be read from any origin a0; a0
-    is the a value the terms reach first.  With P[a, b] = e^{i (a - a0) b/2}
-    over the basis's distinct a values times its distinct b values, row s
-    of C' is the coefficients of W(s) in the words times conj(P[a_s, b_s]),
-    and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s]) E_a[a_s, a_t] E_b[b_s, b_t]
+    on a only through differences, so a may be read from any origin a0
+    shared by a_s and a_t.  A cell is 0 unless E_a[a_s, a_t] is nonzero, so
+    each group of a values within the Gaussian's reach of one another has
+    its own a0, the first of its values the terms reach
+    (:func:`_from_origins`).  With P[a, b] = e^{i (a - a0) b/2}, a0 the
+    origin of a, over the basis's distinct a values times its distinct b
+    values, row s of C' is the coefficients of W(s) in the words times
+    conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s]) E_a[a_s, a_t] E_b[b_s, b_t]
     with the envelopes of :func:`_envelope`.  Each P[a, b] is one
     ``phase_ratio`` on integers, taken only if a cell with a nonzero
     envelope reads it (else it is 0), so a pair of labels beyond the
     Gaussian's reach costs no phase.  Like the adjoint, this refuses
     (``ValueError``) a phase it takes whose angle (a - a0) b / 2 passes
-    2**1023: labels near one another keep their range at every magnitude,
-    but the diagonal of W(0, 10**200) after W(10**200, 0) is refused.
+    2**1023, which takes a group whose a values span a long chain: labels
+    near one another, or beyond one another's reach, keep their range at
+    every magnitude.
 
     Rows, a values and b values are numbered in the order the terms first
     reach them; C' is filled as a flat list and converted once.  A basis
@@ -257,19 +254,47 @@ def _vacuum_factors(basis: list[WeylElement]) -> tuple[np.ndarray, np.ndarray]:
             flat[row + j] = c
     a_vals, b_vals = list(a_slot), list(b_slot)
     ia, ib = np.array(row_a, dtype=np.intp), np.array(row_b, dtype=np.intp)
-    envelope = _envelope(a_vals)[ia[:, None], ia] * _envelope(b_vals)[ib[:, None], ib]
+    envelope_a = _envelope(a_vals)
+    envelope = envelope_a[ia[:, None], ia] * _envelope(b_vals)[ib[:, None], ib]
     needed = np.zeros(len(a_vals) * len(b_vals), dtype=bool)
     needed[(ia[:, None] * len(b_vals) + ib)[envelope != 0]] = True
     phases = [0j] * len(needed)
-    n0, d0 = a_vals[0] if a_vals else (0, 1)
+    shifted = _from_origins(a_vals, envelope_a)
     for k in np.flatnonzero(needed).tolist():
-        (na, da), (nb, db) = a_vals[k // len(b_vals)], b_vals[k % len(b_vals)]
-        phases[k] = phase_ratio((na * d0 - n0 * da) * nb, 2 * da * d0 * db)
+        (na, da), (nb, db) = shifted[k // len(b_vals)], b_vals[k % len(b_vals)]
+        phases[k] = phase_ratio(na * nb, 2 * da * db)
     phases = np.array(phases, dtype=complex).reshape(len(a_vals), len(b_vals))
     cross = phases[ia[:, None], ib]  # P[a_s, b_t]
     coeffs = np.array(flat, dtype=complex).reshape(len(rows), width)
     coeffs *= phases[ia, ib].conj()[:, None]
     return coeffs, cross * cross.conj().T * envelope
+
+
+def _from_origins(values: list[tuple[int, int]], envelope: np.ndarray) -> list[tuple[int, int]]:
+    """Each rational n/d of ``values`` minus its origin, as the integers (p, q).
+
+    The origin is the first value of its group in ``values``, and a group a
+    run of the sorted values in which each is within the Gaussian's reach
+    of the next, read from their exact :func:`_envelope` table; so two
+    values with a nonzero envelope share a group.  The values are sorted
+    exactly, as numerators over a common denominator, and only if a pair
+    is beyond reach: else they are all one group.
+    """
+    origin = [0] * len(values)  # the index of each value's origin
+    if not envelope.all():
+        common = math.lcm(*(d for _, d in values))
+        keys = [n * (common // d) for n, d in values]
+        near = envelope.item
+        group: list[int] = []
+        for i in sorted(range(len(values)), key=keys.__getitem__) + [-1]:
+            if group and (i < 0 or not near(group[-1], i)):
+                first = min(group)
+                for j in group:
+                    origin[j] = first
+                group = []
+            group.append(i)
+    return [(n * values[o][1] - values[o][0] * d, d * values[o][1])
+            for (n, d), o in zip(values, origin)]
 
 
 def _envelope(values: list[tuple[int, int]]) -> np.ndarray:
@@ -296,22 +321,30 @@ def _envelope(values: list[tuple[int, int]]) -> np.ndarray:
 
 
 def _reduction_matrix(state: StateFunctional, basis: list[WeylElement]) -> np.ndarray:
-    """R[k, j]: the canonical reduction of basis[j] at the k-th point reached.
-
-    Rows are numbered in the order the terms first reach their point; terms
-    of one word at one point are summed in term order, from 0.  R is filled
-    as a flat list, one row appended per new point, and converted once.
-    """
+    """R[k, j]: the canonical reduction of basis[j] at the k-th point reached."""
     import numpy as np
 
+    rows, flat = _point_rows(state, basis)
+    return np.array(flat, dtype=complex).reshape(len(rows), len(basis))
+
+
+def _point_rows(state: StateFunctional, words: list[WeylElement]
+                ) -> tuple[dict[tuple[int, int], int], list[complex]]:
+    """The words summed on a sharp state's point model, one phase per label.
+
+    Returns the map from each point (n, d), in lowest terms, to the offset of
+    its row in ``flat``, and ``flat``: one row per point, in the order the
+    terms first reach it.  Terms of one word at one point are summed in term
+    order, from 0.
+    """
     point = state._point
-    width = len(basis)
+    width = len(words)
     empty_row = [0j] * width
     flat: list[complex] = []
     rows: dict[tuple[int, int], int] = {}  # point -> offset of its row in flat
     # label integers -> (offset of its row, amplitude): one phase per label
     seen: dict[tuple[int, int, int], tuple[int, complex]] = {}
-    for j, x in enumerate(basis):
+    for j, x in enumerate(words):
         for label, c in x.terms.items():
             key = (label._pa, label._pb, label._q)
             hit = seen.get(key)
@@ -323,7 +356,7 @@ def _reduction_matrix(state: StateFunctional, basis: list[WeylElement]) -> np.nd
                     flat += empty_row
                 hit = seen[key] = (row, amplitude)
             flat[hit[0] + j] += c * hit[1]
-    return np.array(flat, dtype=complex).reshape(len(rows), width)
+    return rows, flat
 
 
 def check_positivity(state: StateFunctional, basis: Sequence[WeylElement]) -> float:

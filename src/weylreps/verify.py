@@ -36,12 +36,6 @@ States = Sequence[StateFunctional]
 class CheckResult(Record):
     _fields = ("suite", "name", "passed", "detail")
 
-    def __init__(self, suite: str, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 def rand_fraction(rng: random.Random, max_abs: int = 10, max_den: int = 12,
                   nonzero: bool = False) -> Fraction:

@@ -71,6 +71,21 @@ def test_eval_state_unknown_kind_exits_2(capsys, u1_file):
     assert main(["eval-state", "--state", "thermal:1", u1_file]) == 2
 
 
+@pytest.mark.parametrize("spec, line", [
+    ("thermal", "error: unknown state kind: 'thermal'"),
+    ("vacuum:1", "error: the vacuum state takes no parameter"),
+    ("position:1/0", "error: not an exact rational: '1/0'"),
+])
+@pytest.mark.parametrize("command", ["eval-state", "gns-build", "continuity-scan"])
+def test_bad_state_argument_prints_one_error_line_and_exits_2(capsys, u1_file, spec, line,
+                                                              command):
+    argv = [command, "--state", spec]
+    argv += ["--direction", "U", "--grid", "0"] if command == "continuity-scan" else [u1_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
 def run_fresh(*args):
     """Run ``python *args`` in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent))

@@ -437,3 +437,49 @@ def test_broken_direction_table_decides_regularity_and_the_witness_scan():
         assert not is_regular_direction(state, broken.lower())
         witness = eigenvector_witness(state)
         assert list(witness.broken_elements) == continuity_scan(state, broken, DEFAULT_PROBES)
+
+
+def _hex(c: complex) -> tuple:
+    return c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("state, cancelling", [
+    # two unit amplitudes of opposite coefficients at the point 2
+    (position_state(2), generator(1, 2) - generator(3, 2) + generator(1, 5)),
+    (momentum_state(0), generator(2, 1) - generator(2, 3) + generator(5, 1)),
+], ids=["position", "momentum"])
+def test_each_reduction_is_its_column_of_the_reduction_matrix(state, cancelling):
+    from weylreps.states import _reduction_matrix
+
+    rng = random.Random(31)
+    alphabet = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2), Fraction(7, 3)]
+    basis = [WeylElement({WeylIndex(rng.choice(alphabet), rng.choice(alphabet)): rand_coeff(rng)
+                          for _ in range(4)}) for _ in range(12)] + [cancelling]
+    # the rows of R are the points in the order the terms first reach them
+    points = list(dict.fromkeys(Fraction(*state._point(t._pa, t._pb, t._q)[:2])
+                                for x in basis for t in x.terms))
+    reduced = _reduction_matrix(state, basis)
+    assert reduced.shape == (len(points), len(basis))
+    reduce = reduce_position if state.kind == "position" else reduce_momentum
+    for j, x in enumerate(basis):
+        column = {point: _hex(complex(reduced[k, j])) for k, point in enumerate(points)
+                  if reduced[k, j] != 0}
+        vector = reduce(gns_apply(x, cyclic_vector(state)))
+        assert {point: _hex(c) for point, c in vector.amplitudes.items()} == column
+    # the cancelled point is pruned from the vector and exactly 0 in R
+    assert Fraction(2) not in vector.amplitudes and Fraction(5) in vector.amplitudes
+    assert reduced[points.index(Fraction(2)), -1] == 0
+
+
+def test_vectors_over_equal_distinct_states_combine():
+    u = gns_apply(generator(1, 2), cyclic_vector(position_state(Fraction(3, 2))))
+    v = gns_apply(generator(2, 2), cyclic_vector(position_state("3/2")))
+    assert u.owner is not v.owner and u.owner == v.owner
+    assert (u + v).word == generator(1, 2) + generator(2, 2)
+    assert (u - v).owner is u.owner
+    assert gns_inner(u, v) == gns_inner(u, gns_apply(generator(2, 2), cyclic_vector(u.owner)))
+    for other in (position_state(2), momentum_state(Fraction(3, 2)), vacuum_state()):
+        w = cyclic_vector(other)
+        for combine in (lambda: u + w, lambda: u - w, lambda: gns_inner(u, w)):
+            with pytest.raises(OwnerMismatchError):
+                combine()

@@ -245,7 +245,9 @@ def reference_vacuum_factors(basis: list, np) -> tuple:
     """C' and K' of the vacuum's Gram matrix C'^H K' C' on ``Fraction`` labels.
 
     Labels, a values and b values are numbered in the order the terms first
-    reach them; with a0 the first a value, P[a, b] = phase((a - a0) b / 2),
+    reach them.  The sorted a values fall into groups, runs in which each
+    value has a nonzero envelope with the next; a0, the origin of a, is the
+    first value of its group reached.  With P[a, b] = phase((a - a0) b / 2),
     row s of C' is scaled by
     conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s]) times
     exp(-(a_s - a_t)^2 / 4) exp(-(b_s - b_t)^2 / 4), 0 past the float range.
@@ -270,9 +272,16 @@ def reference_vacuum_factors(basis: list, np) -> tuple:
         return out
 
     env_a, env_b = envelope(a_vals), envelope(b_vals)
+    groups = []
+    for a in sorted(a_vals):
+        if groups and env_a[a_vals.index(groups[-1][-1])][a_vals.index(a)]:
+            groups[-1].append(a)
+        else:
+            groups.append([a])
+    origin = {a: min(group, key=a_vals.index) for group in groups for a in group}
     needed = {(a, b2) for a, b in zip(ia, ib) for a2, b2 in zip(ia, ib)
               if env_a[a][a2] * env_b[b][b2]}
-    phases = [[phase((a - a_vals[0]) * b / 2) if (i, j) in needed else 0j
+    phases = [[phase((a - origin[a]) * b / 2) if (i, j) in needed else 0j
                for j, b in enumerate(b_vals)]
               for i, a in enumerate(a_vals)]
     coeffs = np.zeros((len(labels), len(basis)), dtype=complex)

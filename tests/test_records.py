@@ -120,3 +120,22 @@ def test_grid_wavefunction_compares_and_hashes_its_arrays():
         wave.x = x
     with pytest.raises(AttributeError):
         del wave.psi
+
+
+@pytest.mark.parametrize("cls", [EigenvectorWitness, FourierWitness, GridWavefunction,
+                                 CheckResult], ids=lambda cls: cls.__name__)
+def test_record_constructor_refuses_a_missing_extra_or_unknown_field(cls):
+    names = cls._fields
+    values = tuple(range(len(names)))
+    assert cls(*values) == cls(**dict(zip(names, values)))
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == cls(*values)
+    with pytest.raises(TypeError, match="missing"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="missing"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match="unknown or repeated"):
+        cls(*values, extra=0)
+    with pytest.raises(TypeError, match="unknown or repeated"):
+        cls(*values, **{names[0]: 0})

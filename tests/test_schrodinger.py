@@ -47,8 +47,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         gaussian_ground_state(count=512)
     with pytest.raises(ValueError):
-        gaussian_ground_state(x_min=-4.0, x_max=4.0)
-    with pytest.raises(ValueError):
         gaussian_packet(width=0.0)
 
 
@@ -93,7 +91,7 @@ def test_dispersion_exceeds_half_on_superposition():
 
 def test_superpose_requires_matching_grids():
     with pytest.raises(ValueError):
-        superpose(gaussian_packet(), gaussian_packet(count=2048))
+        superpose(gaussian_packet(), gaussian_ground_state(count=2048))
 
 
 @pytest.fixture(scope="module")

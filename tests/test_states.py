@@ -307,14 +307,20 @@ def test_vacuum_gram_matrix_reads_a_from_the_first_a_value():
     # a single generator's cell is 1 whatever the size of a b
     assert gram_matrix(omega, [generator(huge, huge)]).tolist() == [[1]]
     assert check_positivity(omega, [generator(huge, huge), generator(huge + 1, huge)]) > 0
-    # a phase (a - a0) b / 2 past 2**1023 is refused, as the adjoint refuses
-    # it, although the labels are beyond each other's reach and the kernel
-    # route gives the identity
-    basis = [generator(huge, 0), generator(0, huge)]
-    with pytest.raises(ValueError, match="out of range"):
-        gram_matrix(omega, basis)
-    assert [[omega.kernel(s, t) for t in (WeylIndex(huge, 0), WeylIndex(0, huge))]
-            for s in (WeylIndex(huge, 0), WeylIndex(0, huge))] == [[1, 0], [0, 1]]
+    # labels beyond each other's reach read a from origins of their own, so
+    # no phase (a - a0) b / 2 passes 2**1023 and the Gram matrix is the
+    # kernel route's identity
+    labels = (WeylIndex(huge, 0), WeylIndex(0, huge))
+    kernel = [[omega.kernel(s, t) for t in labels] for s in labels]
+    assert kernel == [[1, 0], [0, 1]]
+    assert gram_matrix(omega, [generator(huge, 0), generator(0, huge)]).tolist() == kernel
+    # two groups of two a values each, reached interleaved, against the kernel
+    # route summed cell by cell
+    basis = [generator(huge, 0), generator(0, huge),
+             generator(huge + 1, 1) * 0.5 + generator(1, huge - 1) * 2j]
+    expected = [[sum(c.conjugate() * d * omega.kernel(s, t) for s, c in x.terms.items()
+                     for t, d in y.terms.items()) for y in basis] for x in basis]
+    assert np.max(np.abs(gram_matrix(omega, basis) - np.array(expected))) <= 1e-12
 
 
 def test_vacuum_beyond_the_float_range_is_exactly_zero():
