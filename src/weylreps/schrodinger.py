@@ -3,25 +3,25 @@
 This is the numeric cross-check oracle for every regular-state value in the
 package: characteristic functions, dispersions, point-localisation weights
 and truncated symmetric means.  It is deliberately plain - trapezoid rule on
-a wide uniform grid, linear interpolation for shifted arguments, centered
-differences for the derivative - so its correctness is easy to audit.
-The window is fixed at [-12, 12], with 2**14 points (the ground state takes
-a finer count); the tolerances used downstream (1e-6 for characteristic
-functions, 1e-3 for dispersions) are loose against the discretisation bias
-measured on this window, the only one they were measured on.  The truncated
-mean is the same trapezoid sum taken in closed form (a Dirichlet kernel per
-term), so it allocates no grid; ``MAX_QUADRATURE_POINTS`` still caps the
-grid it stands for, the domain on which that sum is pinned against the
-summed grid.  numpy is imported inside the functions that compute with
-it: the truncated mean and its bound are plain ``math`` and run without it.
+a wide uniform grid, linear interpolation for shifted arguments and for
+localisation weights, centered differences for the derivative - so its
+correctness is easy to audit.  The window is fixed at [-12, 12], with 2**14
+points (the ground state takes a finer count); the tolerances used
+downstream (1e-6 for characteristic functions, 1e-3 for dispersions) are
+loose against the discretisation bias measured on this window, the only one
+they were measured on.  The truncated mean is the trapezoid sum at 128
+points per unit in closed form (a Dirichlet kernel per term), so it
+allocates no grid.  Every input number goes through :func:`_real`.  numpy
+is imported inside the functions that compute with it: the truncated mean
+and its bound are plain ``math`` and run without it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
-from .algebra import Record
+from .algebra import Record, as_float
 from .almost_periodic import TrigPolynomial
 
 if TYPE_CHECKING:
@@ -29,13 +29,22 @@ if TYPE_CHECKING:
 
 X_MAX = 12.0  # the grid spans [-X_MAX, X_MAX]
 DEFAULT_COUNT = 2**14
-MAX_QUADRATURE_POINTS = 2**22
+POINTS_PER_UNIT = 128  # grid density of the truncated mean
+MAX_QUADRATURE_POINTS = 2**22  # the largest grid, allocated or summed in closed form
 
 
-def _trapz(y: np.ndarray, dx: float):
+def _real(value, what: str) -> float:
+    """``value`` as a finite float; NaN, infinities and overflow raise ``ValueError``."""
+    x = as_float(value, what)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
+def _trapz(y: np.ndarray, dx: float = 1.0, x: np.ndarray | None = None):
     import numpy as np
 
-    return (getattr(np, "trapezoid", None) or np.trapz)(y, dx=dx)  # trapz before 2.0
+    return (getattr(np, "trapezoid", None) or np.trapz)(y, x=x, dx=dx)  # trapz before 2.0
 
 
 class GridWavefunction(Record):
@@ -47,10 +56,6 @@ class GridWavefunction(Record):
     def step(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    @property
-    def window(self) -> float:
-        return float(self.x[-1] - self.x[0])
-
     def norm(self) -> float:
         return math.sqrt(float(_trapz(abs(self.psi) ** 2, dx=self.step)))
 
@@ -58,17 +63,16 @@ class GridWavefunction(Record):
 def _make_grid(count: int) -> np.ndarray:
     import numpy as np
 
-    if count < 1024:
-        raise ValueError(f"need at least 1024 grid points, got {count}")
+    if not 1024 <= count <= MAX_QUADRATURE_POINTS:
+        raise ValueError(f"need 1024 to {MAX_QUADRATURE_POINTS} grid points, got {count}")
     x = np.linspace(-X_MAX, X_MAX, int(count))
     return (x - x[::-1]) / 2.0  # bit-exact mirror symmetry
 
 
 def _normalized(x: np.ndarray, psi: np.ndarray) -> GridWavefunction:
-    h = float(x[1] - x[0])
-    nrm = math.sqrt(float(_trapz(abs(psi) ** 2, dx=h)))
-    if nrm == 0.0:
-        raise ValueError("cannot normalise the zero function")
+    nrm = GridWavefunction(x=x, psi=psi).norm()
+    if not 0.0 < nrm < math.inf:
+        raise ValueError(f"cannot normalise a function of norm {nrm}")
     return GridWavefunction(x=x, psi=psi / nrm)
 
 
@@ -83,19 +87,21 @@ def gaussian_ground_state(count: int = DEFAULT_COUNT) -> GridWavefunction:
 def gaussian_packet(
     center: float = 0.0, width: float = 1.0, momentum: float = 0.0
 ) -> GridWavefunction:
-    """Shifted, scaled and boosted Gaussian; width 1 is the ground state.
+    """Shifted, scaled and boosted Gaussian, normalised on the grid; width 1
+    is the ground state.
 
     Every member of this family saturates the dispersion bound: the position
     dispersion is width/sqrt(2) and the momentum dispersion its reciprocal.
     """
     import numpy as np
 
+    center, width = _real(center, "center"), _real(width, "width")
+    momentum = _real(momentum, "momentum")
+    _real(momentum * X_MAX, "momentum * X_MAX")  # as a in characteristic_function
     if width <= 0:
         raise ValueError("width must be positive")
     x = _make_grid(DEFAULT_COUNT)
-    envelope = (np.pi * width**2) ** -0.25 * np.exp(
-        -((x - center) ** 2) / (2.0 * width**2)
-    )
+    envelope = np.exp(-((x - center) ** 2) / (2.0 * width * width))
     return _normalized(x, envelope * np.exp(1j * momentum * x))
 
 
@@ -106,22 +112,19 @@ def superpose(a: GridWavefunction, b: GridWavefunction) -> GridWavefunction:
     return _normalized(a.x, a.psi + b.psi)
 
 
-def characteristic_function(
-    psi: GridWavefunction, a: Union[float, int, "object"], b: Union[float, int, "object"]
-) -> complex:
+def characteristic_function(psi: GridWavefunction, a: float, b: float) -> complex:
     """<psi, U_a V_b psi> = integral conj(psi(x)) exp(iax) psi(x+b) dx.
 
-    The shifted factor is linearly interpolated (zero outside the window).
+    The shifted factor is linearly interpolated (zero outside the window);
+    |b| may be at most a quarter of the window, X_MAX / 2.
     """
     import numpy as np
 
-    a = float(a)
-    b = float(b)
-    if abs(b) > psi.window / 4.0:
-        raise ValueError(f"shift {b} exceeds a quarter of the window {psi.window}")
-    shifted = np.interp(
-        psi.x + b, psi.x, psi.psi.real, left=0.0, right=0.0
-    ) + 1j * np.interp(psi.x + b, psi.x, psi.psi.imag, left=0.0, right=0.0)
+    a, b = _real(a, "a"), _real(b, "b")
+    _real(a * X_MAX, "a * X_MAX")  # exp(i a x) is defined on the whole window
+    if abs(b) > X_MAX / 2.0:
+        raise ValueError(f"shift {b} exceeds a quarter of the window, {X_MAX / 2.0:g}")
+    shifted = np.interp(psi.x + b, psi.x, psi.psi, left=0.0, right=0.0)
     integrand = np.conj(psi.psi) * np.exp(1j * a * psi.x) * shifted
     return complex(_trapz(integrand, dx=psi.step))
 
@@ -151,45 +154,37 @@ def dispersion_product(psi: GridWavefunction) -> float:
 def point_mass_probe(psi: GridWavefunction, lam: float, eps: float) -> float:
     """Probability weight of [lam-eps, lam+eps], in [0, 1].
 
-    Integrates the piecewise-linear interpolant of |psi|**2 exactly, so it
-    stays accurate even when the interval covers only a few grid cells; the
-    value scales linearly in eps once eps is below the density's variation
-    scale.  Requires eps > grid step.
+    Integrates the piecewise-linear interpolant of |psi|**2 exactly: the
+    trapezoid rule on the interval's ends, cut to the window, and the grid
+    points between them.  So it stays accurate even when the interval covers
+    only a few grid cells; the value scales linearly in eps once eps is below
+    the density's variation scale.  Requires eps > grid step.
     """
     import numpy as np
 
-    eps = float(eps)
-    lam = float(lam)
+    lam, eps = _real(lam, "lam"), _real(eps, "eps")
     if eps <= psi.step:
         raise ValueError(f"eps {eps} must exceed the grid step {psi.step}")
-    density = np.abs(psi.psi) ** 2
-    h = psi.step
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * h)]
-    )
+    lo, hi = np.clip([lam - eps, lam + eps], -X_MAX, X_MAX)
     x = psi.x
-
-    def antiderivative(t: float) -> float:
-        t = min(max(t, float(x[0])), float(x[-1]))
-        k = int(np.searchsorted(x, t, side="right")) - 1
-        k = min(max(k, 0), len(x) - 2)
-        u = t - float(x[k])
-        y0 = float(density[k])
-        y1 = float(density[k + 1])
-        yt = y0 + (y1 - y0) * u / h
-        return float(cumulative[k]) + u * (y0 + yt) / 2.0
-
-    value = antiderivative(lam + eps) - antiderivative(lam - eps)
+    inner = x[np.searchsorted(x, lo, side="right"):np.searchsorted(x, hi, side="left")]
+    ends = np.concatenate([[lo], inner, [hi]])
+    value = float(_trapz(np.interp(ends, x, np.abs(psi.psi) ** 2), x=ends))
     return min(max(value, 0.0), 1.0)
 
 
-def mean_quadrature(
-    f: TrigPolynomial, n: float, points_per_unit: int = 128
-) -> complex:
+def _averaging_length(n) -> float:
+    n = _real(n, "averaging length")
+    if n < 1.0:
+        raise ValueError("averaging length must be at least 1")
+    return n
+
+
+def mean_quadrature(f: TrigPolynomial, n: float) -> complex:
     """Truncated symmetric average (1/2N) integral_{-N}^{N} f, by trapezoid.
 
     The value is the trapezoid sum over the uniform grid of m + 1 points on
-    [-N, N], m = int(2 N points_per_unit), summed in closed form: no grid is
+    [-N, N], m = int(2 N POINTS_PER_UNIT), summed in closed form: no grid is
     allocated and the cost is one sine pair per term.  With step h = 2N/m
     the grid sum of exp(i a x_k) is the Dirichlet kernel
     D = sin((m+1) theta/2) / sin(theta/2) at theta = a h, so each term
@@ -199,35 +194,26 @@ def mean_quadrature(
 
     For a polynomial with nonzero frequencies a_j the result differs from
     the exact mean by at most sum_j 2|c_j|/(|a_j| N) plus the quadrature
-    error, which is O(|a_j| step**2) per unit coefficient.  points_per_unit
-    must be an int >= 1, N finite and >= 1, and the grid at most
-    ``MAX_QUADRATURE_POINTS`` points, the domain on which the closed form
-    is pinned against the summed grid.
+    error, which is O(|a_j| step**2) per unit coefficient.  N must be finite
+    and >= 1, and the grid at most ``MAX_QUADRATURE_POINTS`` points, the
+    domain on which the closed form is pinned against the summed grid.
     """
-    if (
-        isinstance(points_per_unit, bool)
-        or not isinstance(points_per_unit, int)
-        or points_per_unit < 1
-    ):
-        raise ValueError(
-            f"points per unit must be an int >= 1, got {points_per_unit!r}"
-        )
-    n = float(n)
-    if not math.isfinite(n):
-        raise ValueError(f"averaging length must be finite, got {n}")
-    if n < 1.0:
-        raise ValueError("averaging length must be at least 1")
-    span = 2.0 * n * points_per_unit
+    n = _averaging_length(n)
+    span = 2.0 * n * POINTS_PER_UNIT
     if span >= MAX_QUADRATURE_POINTS:
         raise ValueError(
-            f"averaging length {n:g} at {points_per_unit} points per unit "
+            f"averaging length {n:g} at {POINTS_PER_UNIT} points per unit "
             f"needs a grid larger than the limit of {MAX_QUADRATURE_POINTS} points"
         )
-    m = int(span)
+    return _trapezoid_mean(f, n, int(span))
+
+
+def _trapezoid_mean(f: TrigPolynomial, n: float, m: int) -> complex:
+    """The trapezoid sum of :func:`mean_quadrature` over m cells, in closed form."""
     h = 2.0 * n / m
     total = 0j
     for freq, coeff in f.coefficients.items():
-        a = float(freq)
+        a = as_float(freq, "frequency")
         theta = a * h
         half = math.remainder(theta, math.tau) / 2.0
         k = round((theta - 2.0 * half) / math.tau)
@@ -245,9 +231,14 @@ QUADRATURE_SLACK = 1e-6
 
 
 def truncation_bound(f: TrigPolynomial, n: float) -> float:
-    """Analytic bound sum_j 2|c_j|/(|a_j| N) over nonzero frequencies."""
+    """Analytic bound sum_j 2|c_j|/(|a_j| N) over nonzero frequencies.
+
+    1/|a_j| is taken exactly, so a frequency that a float would round to 0
+    is refused, not divided by.
+    """
+    n = _averaging_length(n)
     return math.fsum(
-        2.0 * abs(c) / (abs(float(freq)) * float(n))
+        2.0 * abs(c) * abs(as_float(1 / freq, "1/frequency")) / n
         for freq, c in f.coefficients.items()
         if freq != 0
     )

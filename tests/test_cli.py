@@ -192,6 +192,17 @@ def test_mean_cross_check(capsys, tmp_path):
     assert "truncated average:" in out
 
 
+@pytest.mark.parametrize("freq", ["1/1" + "0" * 400, "1" + "0" * 400], ids=["1e-400", "1e400"])
+def test_mean_frequency_out_of_float_range_exits_2(capsys, tmp_path, freq):
+    # 1/1e-400 passes the float range in the truncation bound, 1e400 itself in
+    # the quadrature: each is one error line, not a traceback or OverflowError
+    poly = write_json(tmp_path / "poly.json", [{"freq": freq, "re": 1.0, "im": 0.0}])
+    assert main(["mean", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: (1/)?frequency out of float range: .*\n", captured.err)
+
+
 def test_verify_algebra_suite(capsys):
     assert main(["verify", "--suite", "algebra", "--seed", "7"]) == 0
     out = capsys.readouterr().out

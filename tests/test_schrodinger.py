@@ -21,6 +21,7 @@ from weylreps import (
     trig_generator,
     truncation_bound,
 )
+from weylreps.schrodinger import POINTS_PER_UNIT, _trapezoid_mean
 from weylreps.verify import AVERAGE_N, RATIO_TOL, TONE_TOL
 
 
@@ -46,6 +47,9 @@ def test_ground_state_centered(psi0):
 def test_grid_validation():
     with pytest.raises(ValueError):
         gaussian_ground_state(count=512)
+    for count in (2**22 + 1, 10**400, float("nan")):  # refused before allocating
+        with pytest.raises(ValueError, match="grid points"):
+            gaussian_ground_state(count=count)
     with pytest.raises(ValueError):
         gaussian_packet(width=0.0)
 
@@ -158,30 +162,29 @@ def test_mean_quadrature_validates_n():
 
 
 @pytest.mark.parametrize(
-    "n, points_per_unit, message",
+    "n, message",
     [
-        (float("nan"), 128, "finite"),
-        (float("inf"), 128, "finite"),
-        (1e13, 128, "limit of 4194304 points"),
-        (1e6, 128, "limit of 4194304 points"),
-        (1e308, 128, "limit of 4194304 points"),  # 2 N points_per_unit overflows
-        (2.0**21, 1, "limit of 4194304 points"),  # 2**22 + 1 points, one too many
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (1e13, "limit of 4194304 points"),
+        (1e6, "limit of 4194304 points"),
+        (1e308, "limit of 4194304 points"),  # 2 N POINTS_PER_UNIT overflows
+        (16384.0, "limit of 4194304 points"),  # 2**22 + 1 points, one too many
+        pytest.param(10**400, "out of float range", id="1e400-out of float range"),
     ],
 )
-def test_mean_quadrature_rejects_bad_n_before_allocating(
-    monkeypatch, n, points_per_unit, message
-):
+def test_mean_quadrature_rejects_bad_n_before_allocating(monkeypatch, n, message):
     # Without numpy any allocation fails with ImportError, not ValueError.
     monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ValueError, match=message):
-        mean_quadrature(constant(1), n, points_per_unit)
+        mean_quadrature(constant(1), n)
 
 
-@pytest.mark.parametrize("points_per_unit", [0, 0.001, -5, 16.0, True, "128"])
-def test_mean_quadrature_rejects_bad_points_per_unit(monkeypatch, points_per_unit):
+def test_mean_quadrature_accepts_the_largest_grid_below_the_limit(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ValueError, match="points per unit"):
-        mean_quadrature(constant(1), 10.0, points_per_unit)
+    n = math.nextafter(16384.0, 0.0)  # 2**22 points: the last grid under the limit
+    assert POINTS_PER_UNIT == 128 and int(2.0 * n * POINTS_PER_UNIT) + 1 == 2**22
+    assert mean_quadrature(constant(1), n) == pytest.approx(1, abs=1e-12)
 
 
 def _grid_mean(f, n, points_per_unit):
@@ -194,6 +197,15 @@ def _grid_mean(f, n, points_per_unit):
     return complex(np.trapezoid(total, dx=xs[1] - xs[0]) / (2.0 * n))
 
 
+def _closed_form(f, n, points_per_unit):
+    """mean_quadrature at its fixed density; its closed form at the others."""
+    if points_per_unit == POINTS_PER_UNIT:
+        return mean_quadrature(f, n)
+    return _trapezoid_mean(f, n, int(2.0 * n * points_per_unit))
+
+
+# 1 and 16 points per unit keep the coarse grids (two cells at N = 1) on
+# the closed form that mean_quadrature sums at 128
 @pytest.mark.parametrize("points_per_unit", [1, 16, 128])
 @pytest.mark.parametrize("n", [1.0, 3.7, 1000.0, 10000.0])
 def test_mean_quadrature_closed_form_equals_grid_sum(n, points_per_unit):
@@ -202,8 +214,7 @@ def test_mean_quadrature_closed_form_equals_grid_sum(n, points_per_unit):
         f = TrigPolynomial(
             {rand_fraction(rng, 64, 12): rand_coeff(rng) for _ in range(5)}
         )
-        gap = abs(mean_quadrature(f, n, points_per_unit)
-                  - _grid_mean(f, n, points_per_unit))
+        gap = abs(_closed_form(f, n, points_per_unit) - _grid_mean(f, n, points_per_unit))
         assert gap <= 1e-12 * f.l1_bound()
 
 
@@ -216,7 +227,113 @@ ALIAS = Fraction(round(2 * math.pi * 128 * 10**9), 10**9)  # within 1e-9 of 2 pi
 def test_mean_quadrature_closed_form_at_zero_tiny_and_aliased(
     freq, n, points_per_unit
 ):
+    # at N = 3.7 and 128 points per unit the grid has m = 947 cells and
+    # ALIAS reduces to k = 1, so the sign flip of the kernel for odd k m is taken
     f = TrigPolynomial({freq: 1.0})
-    gap = abs(mean_quadrature(f, n, points_per_unit)
-              - _grid_mean(f, n, points_per_unit))
+    gap = abs(_closed_form(f, n, points_per_unit) - _grid_mean(f, n, points_per_unit))
     assert gap <= 1e-9
+
+
+def test_mean_quadrature_refuses_a_frequency_past_the_float_range(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ValueError, match="frequency out of float range"):
+        mean_quadrature(constant(1) + trig_generator(10**400), 10.0)
+
+
+def test_truncation_bound_takes_the_reciprocal_frequency_exactly():
+    # 1/|a| rounds to 0 for a past the float range: the term vanishes
+    huge = constant(1) + trig_generator(10**400)
+    assert truncation_bound(huge, 10.0) == 0.0
+    # and is past the float range for a that a float rounds to 0
+    tiny = TrigPolynomial({Fraction(1, 10**400): 1.0})
+    with pytest.raises(ValueError, match="1/frequency out of float range"):
+        truncation_bound(tiny, 10.0)
+    assert truncation_bound(trig_generator(Fraction(1, 3)), 10.0) == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), 10**400, 0.5],
+                         ids=["nan", "inf", "1e400", "0.5"])
+def test_truncation_bound_validates_n(n):
+    with pytest.raises(ValueError, match="averaging length"):
+        truncation_bound(trig_generator(1), n)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda psi: characteristic_function(psi, NAN, 0),
+        lambda psi: characteristic_function(psi, 0, NAN),
+        lambda psi: characteristic_function(psi, float("inf"), 0),
+        lambda psi: characteristic_function(psi, 10**400, 0),
+        lambda psi: point_mass_probe(psi, NAN, 0.125),
+        lambda psi: point_mass_probe(psi, 0.0, NAN),
+        lambda psi: point_mass_probe(psi, float("-inf"), 0.125),
+        lambda psi: gaussian_packet(center=NAN),
+        lambda psi: gaussian_packet(width=NAN),
+        lambda psi: gaussian_packet(momentum=NAN),
+        lambda psi: gaussian_packet(center=10**400),
+        # finite, but exp(i a x) or the envelope is not on the window
+        lambda psi: characteristic_function(psi, 1.6e307, 0),
+        lambda psi: gaussian_packet(momentum=1.6e307),
+        lambda psi: gaussian_packet(width=1e-200),
+    ],
+    ids=["charfn-a", "charfn-b", "charfn-inf", "charfn-overflow", "probe-lam",
+         "probe-eps", "probe-inf", "packet-center", "packet-width",
+         "packet-momentum", "packet-overflow", "charfn-a-window",
+         "packet-momentum-window", "packet-width-tiny"],
+)
+def test_oracle_refuses_nan_inf_and_overflow(psi0, call):
+    with pytest.raises(ValueError, match="must be finite|out of float range|cannot normalise"):
+        call(psi0)
+
+
+def test_packet_wider_than_the_float_range_squared_is_flat():
+    # width**2 passes the float range: the envelope is 1 on the window
+    psi = gaussian_packet(width=1e160)
+    assert abs(psi.norm() - 1) < 1e-12 and np.ptp(np.abs(psi.psi)) < 1e-12
+
+
+def _cumulative_probe(psi, lam, eps):
+    """Reference: the cumulative-sum antiderivative of the interpolant."""
+    density = np.abs(psi.psi) ** 2
+    h = psi.step
+    cumulative = np.concatenate(
+        [[0.0], np.cumsum((density[1:] + density[:-1]) / 2.0 * h)]
+    )
+    x = psi.x
+
+    def antiderivative(t):
+        t = min(max(t, float(x[0])), float(x[-1]))
+        k = int(np.searchsorted(x, t, side="right")) - 1
+        k = min(max(k, 0), len(x) - 2)
+        u = t - float(x[k])
+        y0 = float(density[k])
+        y1 = float(density[k + 1])
+        yt = y0 + (y1 - y0) * u / h
+        return float(cumulative[k]) + u * (y0 + yt) / 2.0
+
+    value = antiderivative(lam + eps) - antiderivative(lam - eps)
+    return min(max(value, 0.0), 1.0)
+
+
+def test_point_mass_probe_matches_the_cumulative_sum(psi0_fine):
+    rng = random.Random(29)
+    bump = superpose(gaussian_packet(center=-2.0), gaussian_packet(center=3.0, width=0.5))
+    for psi in (psi0_fine, bump):
+        h, x = psi.step, psi.x
+        # cut to the window, an interval past its edge can lie inside the
+        # last cell, or have no width left at all
+        intervals = [(12.0 + 1.7 * h, 2.0 * h), (-12.0 - 1.2 * h, 1.5 * h),
+                     (12.0, 0.5), (-12.0, 0.5), (11.9, 1.0), (-11.9, 1.0),
+                     (13.0, 0.5), (-13.0, 0.5), (0.0, 30.0)]
+        for _ in range(40):
+            # just wider than two cells, ends anywhere in their cells
+            cell = rng.randrange(len(x))
+            intervals.append((float(x[cell]) + rng.random() * h, h * (1.0 + rng.random())))
+            intervals.append((rng.uniform(-14.0, 14.0), rng.uniform(2 * h, 4.0)))
+        for lam, eps in intervals:
+            assert abs(point_mass_probe(psi, lam, eps)
+                       - _cumulative_probe(psi, lam, eps)) <= 1e-12

@@ -323,6 +323,18 @@ def test_vacuum_gram_matrix_reads_a_from_the_first_a_value():
     assert np.max(np.abs(gram_matrix(omega, basis) - np.array(expected))) <= 1e-12
 
 
+def test_vacuum_gram_matrix_refuses_a_long_chain_of_a_values():
+    # each a value is within the Gaussian's reach of the next, so the six are
+    # one group read from a = 0, and the last phase angle 200 * 2e306 / 2
+    # passes 2**1023: a clean refusal, where the kernel route computes the
+    # matrix (1 on the diagonal, about 1.9e-174 between neighbours)
+    basis = [generator(40 * k, 2 * 10**306) for k in range(6)]
+    s, t = (next(iter(x.terms)) for x in basis[:2])
+    assert abs(vacuum_state().kernel(s, t)) == pytest.approx(1.9e-174, rel=0.01)
+    with pytest.raises(ValueError, match=r"phase angle out of range"):
+        gram_matrix(vacuum_state(), basis)
+
+
 def test_vacuum_beyond_the_float_range_is_exactly_zero():
     huge = Fraction(10**400)
     omega = vacuum_state()
