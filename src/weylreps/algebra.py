@@ -22,8 +22,8 @@ the point-model vectors of ``reps`` and the trigonometric polynomials of
 ``almost_periodic`` share.
 
 :func:`phase_ratio` reduces an exact angle p/q modulo 2 pi in integers
-before its one float ``exp``, so a phase is as accurate at label 1e100 as at
-label 1; :func:`phase` takes the angle as a ``Fraction`` or an ``int``.
+before its one float ``exp``, so a phase is as accurate at label 1e1000 as
+at label 1; :func:`phase` takes the angle as a ``Fraction`` or an ``int``.
 """
 
 from __future__ import annotations
@@ -74,13 +74,30 @@ def _arctan_inv(n: int, one: int) -> int:
     return total
 
 
-# 2 pi 2**_TWO_PI_BITS rounded down, from Machin's formula
-# pi = 16 arctan(1/5) - 4 arctan(1/239) with 32 guard bits.  It has 72 bits
-# beyond the largest angle phase() accepts: 64 for the reduced angle, 8 spare.
-_MAX_ANGLE_BITS = 1024
-_TWO_PI_BITS = _MAX_ANGLE_BITS + 72
-_ONE = 1 << (_TWO_PI_BITS + 32)
-_TWO_PI = (32 * _arctan_inv(5, _ONE) - 8 * _arctan_inv(239, _ONE)) >> 32
+def _two_pi(bits: int) -> tuple[int, int]:
+    """``(bits, 2 pi 2**bits rounded down)``, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239) with 32 guard bits."""
+    one = 1 << (bits + 32)
+    return bits, (32 * _arctan_inv(5, one) - 8 * _arctan_inv(239, one)) >> 32
+
+
+# An angle |p/q| < 2**mag needs 2 pi to mag + 64 bits; 72 bits beyond the
+# angle's leave 8 spare.  The import builds it for angles below 2**1024;
+# phase_ratio rebuilds it for larger ones, up to this cap on the size of
+# the rebuild.  The bit count and the value are one tuple, so a reader
+# never pairs one with the other's predecessor.
+_MAX_ANGLE_BITS = 1 << 16
+_TWO_PI = _two_pi(1024 + 72)
+
+
+def _extend_two_pi(p: int, q: int, s: int) -> tuple[int, int]:
+    """2 pi to at least s bits, for the angle p/q; ``ValueError`` past the cap."""
+    global _TWO_PI
+    if abs(p) >= q << _MAX_ANGLE_BITS:
+        raise ValueError(f"phase angle past the size limit |theta| < 2**{_MAX_ANGLE_BITS}: "
+                         "a cap on the cost of building 2 pi, not on accuracy")
+    _TWO_PI = two_pi = _two_pi(min(1 << (s - 1).bit_length(), _MAX_ANGLE_BITS + 72))
+    return two_pi
 
 
 def phase(theta: Union[Fraction, int, float]) -> complex:
@@ -105,8 +122,10 @@ def phase_ratio(p: int, q: int) -> complex:
     bits and reduced into [-pi, pi] against 2 pi at the same precision, in
     integers, before the one float ``exp``; so the phase is accurate to a
     few units of 2**-53 at every magnitude, and equal bit for bit to the
-    phase of ``Fraction(p, q)``.  mag > 1024 (|p/q| > 2**1023) raises
-    ``ValueError``.
+    phase of ``Fraction(p, q)``.  2 pi is built to 1096 bits at import, and
+    again to the next power of two of bits for the first angle that needs
+    more.  |p/q| >= 2**65536 raises ``ValueError``: a limit on the size of
+    that rebuild, not on accuracy.
     """
     if -q <= p <= q:
         return cmath.exp(1j * (p / q))
@@ -114,11 +133,11 @@ def phase_ratio(p: int, q: int) -> complex:
     if g != 1:
         p //= g
         q //= g
-    mag = p.bit_length() - q.bit_length() + 1
-    if mag > _MAX_ANGLE_BITS:
-        raise ValueError(f"phase angle out of range: |theta| > 2**{_MAX_ANGLE_BITS - 1}")
-    s = mag + 64
-    two_pi = _TWO_PI >> (_TWO_PI_BITS - s)
+    s = p.bit_length() - q.bit_length() + 65  # |p/q| < 2**(s - 64)
+    bits, two_pi = _TWO_PI
+    if s > bits:
+        bits, two_pi = _extend_two_pi(p, q, s)
+    two_pi >>= bits - s
     r = ((p << s) // q) % two_pi
     if 2 * r > two_pi:
         r -= two_pi

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import gns, schrodinger, serialize
-from .algebra import as_fraction
+from .algebra import as_float, as_fraction
 
 #: ``verify.SUITE_NAMES``, written out so that parsing does not load ``verify``
 SUITE_NAMES = ("algebra", "reps", "gns", "ap", "oracle", "all")
@@ -56,7 +56,7 @@ def _load_records(path: str, what: str, read):
         raise InputError(f"{path}: expected a list of {what} records")
     try:
         return read(records)
-    except serialize.RecordError as exc:
+    except ValueError as exc:  # serialize.RecordError, or a value the command refuses
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -96,7 +96,7 @@ def _cmd_gns_build(args) -> int:
         raise InputError(f"{args.words}: expected a non-empty list of elements")
     try:
         words = [serialize.element_from_records(recs) for recs in payload]
-    except serialize.RecordError as exc:
+    except ValueError as exc:  # serialize.RecordError, or a merge past the float range
         raise InputError(f"{args.words}: {exc}") from exc
 
     omega = gns.cyclic_vector(state)
@@ -123,8 +123,18 @@ def _cmd_continuity_scan(args) -> int:
     return 0
 
 
+def _oracle_polynomial(records):
+    """The polynomial, refused unless the oracle can take each frequency and 1/frequency."""
+    poly = serialize.trig_from_records(records)
+    for freq in poly.coefficients:
+        if freq:
+            as_float(freq, "frequency")
+            as_float(1 / freq, "1/frequency")
+    return poly
+
+
 def _cmd_mean(args) -> int:
-    poly = _load_records(args.polynomial, "coefficient", serialize.trig_from_records)
+    poly = _load_records(args.polynomial, "coefficient", _oracle_polynomial)
 
     exact = poly.invariant_mean()
     approx = schrodinger.mean_quadrature(poly, args.quadrature_n)

@@ -100,6 +100,8 @@ def gaussian_packet(
     _real(momentum * X_MAX, "momentum * X_MAX")  # as a in characteristic_function
     if width <= 0:
         raise ValueError("width must be positive")
+    if width * width == 0.0:  # before numpy divides by it
+        raise ValueError(f"cannot normalise a packet of width {width!r}: its square underflows")
     x = _make_grid(DEFAULT_COUNT)
     envelope = np.exp(-((x - center) ** 2) / (2.0 * width * width))
     return _normalized(x, envelope * np.exp(1j * momentum * x))

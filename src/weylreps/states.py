@@ -16,8 +16,8 @@ unit phase times one point vector, at b for position and at a for momentum
 (:meth:`StateFunctional._point`).  So its Gram matrix is ``R^H R`` for the
 matrix R of the words' canonical reductions (:func:`_point_rows`).  The
 vacuum's value on W(s)* W(t) splits into a phase per generator, a phase per
-(a, b) pair of the basis's distinct values (a read from its group's first a
-value) and a Gaussian per axis, so its Gram matrix is ``C'^H K' C'`` built
+(a, b) pair of the basis's distinct values (a read from the first a value
+reached) and a Gaussian per axis, so its Gram matrix is ``C'^H K' C'`` built
 from exact per-axis tables.  Neither makes a kernel call:
 :meth:`StateFunctional.kernel` and ``gns.gns_inner`` stay an independent
 route to check them against.
@@ -207,22 +207,15 @@ def _vacuum_factors(basis: list[WeylElement]) -> tuple[np.ndarray, np.ndarray]:
         e^{-(a_s - a_t)^2/4} e^{-(b_s - b_t)^2/4}.
 
     The phases of a cell add up to (a_s - a_t)(b_s + b_t)/2, which depends
-    on a only through differences, so a may be read from any origin a0
-    shared by a_s and a_t.  A cell is 0 unless E_a[a_s, a_t] is nonzero, so
-    each group of a values within the Gaussian's reach of one another has
-    its own a0, the first of its values the terms reach
-    (:func:`_from_origins`).  With P[a, b] = e^{i (a - a0) b/2}, a0 the
-    origin of a, over the basis's distinct a values times its distinct b
-    values, row s of C' is the coefficients of W(s) in the words times
-    conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s]) E_a[a_s, a_t] E_b[b_s, b_t]
-    with the envelopes of :func:`_envelope`.  Each P[a, b] is one
-    ``phase_ratio`` on integers, taken only if a cell with a nonzero
-    envelope reads it (else it is 0), so a pair of labels beyond the
-    Gaussian's reach costs no phase.  Like the adjoint, this refuses
-    (``ValueError``) a phase it takes whose angle (a - a0) b / 2 passes
-    2**1023, which takes a group whose a values span a long chain: labels
-    near one another, or beyond one another's reach, keep their range at
-    every magnitude.
+    on a only through differences, so a is read from one origin a0, the
+    first a value the terms reach: a basis at one large a keeps its angles
+    small.  With P[a, b] = e^{i (a - a0) b/2} over the basis's distinct a
+    values times its distinct b values, row s of C' is the coefficients of
+    W(s) in the words times conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t]
+    conj(P[a_t, b_s]) E_a[a_s, a_t] E_b[b_s, b_t] with the envelopes of
+    :func:`_envelope`.  Each P[a, b] is one ``phase_ratio`` on integers,
+    taken only if a cell with a nonzero envelope reads it (else it is 0),
+    so a pair of labels beyond the Gaussian's reach costs no phase.
 
     Rows, a values and b values are numbered in the order the terms first
     reach them; C' is filled as a flat list and converted once.  A basis
@@ -254,47 +247,19 @@ def _vacuum_factors(basis: list[WeylElement]) -> tuple[np.ndarray, np.ndarray]:
             flat[row + j] = c
     a_vals, b_vals = list(a_slot), list(b_slot)
     ia, ib = np.array(row_a, dtype=np.intp), np.array(row_b, dtype=np.intp)
-    envelope_a = _envelope(a_vals)
-    envelope = envelope_a[ia[:, None], ia] * _envelope(b_vals)[ib[:, None], ib]
+    envelope = _envelope(a_vals)[ia[:, None], ia] * _envelope(b_vals)[ib[:, None], ib]
     needed = np.zeros(len(a_vals) * len(b_vals), dtype=bool)
     needed[(ia[:, None] * len(b_vals) + ib)[envelope != 0]] = True
     phases = [0j] * len(needed)
-    shifted = _from_origins(a_vals, envelope_a)
     for k in np.flatnonzero(needed).tolist():
-        (na, da), (nb, db) = shifted[k // len(b_vals)], b_vals[k % len(b_vals)]
-        phases[k] = phase_ratio(na * nb, 2 * da * db)
+        (na, da), (nb, db) = a_vals[k // len(b_vals)], b_vals[k % len(b_vals)]
+        n0, d0 = a_vals[0]  # the origin; a basis with no terms has none
+        phases[k] = phase_ratio((na * d0 - n0 * da) * nb, 2 * da * d0 * db)
     phases = np.array(phases, dtype=complex).reshape(len(a_vals), len(b_vals))
     cross = phases[ia[:, None], ib]  # P[a_s, b_t]
     coeffs = np.array(flat, dtype=complex).reshape(len(rows), width)
     coeffs *= phases[ia, ib].conj()[:, None]
     return coeffs, cross * cross.conj().T * envelope
-
-
-def _from_origins(values: list[tuple[int, int]], envelope: np.ndarray) -> list[tuple[int, int]]:
-    """Each rational n/d of ``values`` minus its origin, as the integers (p, q).
-
-    The origin is the first value of its group in ``values``, and a group a
-    run of the sorted values in which each is within the Gaussian's reach
-    of the next, read from their exact :func:`_envelope` table; so two
-    values with a nonzero envelope share a group.  The values are sorted
-    exactly, as numerators over a common denominator, and only if a pair
-    is beyond reach: else they are all one group.
-    """
-    origin = [0] * len(values)  # the index of each value's origin
-    if not envelope.all():
-        common = math.lcm(*(d for _, d in values))
-        keys = [n * (common // d) for n, d in values]
-        near = envelope.item
-        group: list[int] = []
-        for i in sorted(range(len(values)), key=keys.__getitem__) + [-1]:
-            if group and (i < 0 or not near(group[-1], i)):
-                first = min(group)
-                for j in group:
-                    origin[j] = first
-                group = []
-            group.append(i)
-    return [(n * values[o][1] - values[o][0] * d, d * values[o][1])
-            for (n, d), o in zip(values, origin)]
 
 
 def _envelope(values: list[tuple[int, int]]) -> np.ndarray:

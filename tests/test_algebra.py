@@ -106,7 +106,7 @@ def test_rejects_non_finite_coefficients():
 
 @pytest.mark.parametrize(
     "magnitude",
-    [10**4, 10**8, 10**12, 10**100, 10**300],
+    [10**4, 10**8, 10**12, 10**100, 10**300, 10**1000, 10**4000],
     ids=lambda m: f"1e{len(str(m)) - 1}",
 )
 def test_phase_reduces_exact_angles_at_every_magnitude(magnitude):
@@ -120,9 +120,18 @@ def test_phase_reduces_exact_angles_at_every_magnitude(magnitude):
             assert abs(phase(theta) - complex(exact)) <= 1e-15
 
 
-def test_phase_refuses_angles_past_the_float_range():
-    for theta in (2**1025, -(2**1025), Fraction(2**1100, 3)):
-        with pytest.raises(ValueError):
+def test_phase_past_the_float_range_is_the_mpmath_phase():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        for theta in (2**1025, -(2**1025), Fraction(2**1100, 3)):
+            exact = mpmath.expj(mpmath.mpf(theta.numerator) / theta.denominator)
+            assert abs(phase(theta) - complex(exact)) <= 1e-15
+
+
+def test_phase_refuses_angles_at_the_size_cap():
+    # the cap bounds the cost of building 2 pi, so its message says so
+    for theta in (2**65536, -(2**65537), Fraction(2**65536 * 3 + 1, 3)):
+        with pytest.raises(ValueError, match="size limit"):
             phase(theta)
 
 

@@ -107,12 +107,32 @@ def test_eval_state_oversized_rational_exits_2(tmp_path):
     element = write_json(
         tmp_path / "u.json", [{"a": "1/3", "b": "0", "re": 1.0, "im": 0.0}]
     )
+    # a parameter of 10^400 is a phase like any other: exp(i 10^400 / 3)
+    mpmath = pytest.importorskip("mpmath")
     proc = run_fresh(
         "-m", "weylreps.cli", "eval-state", "--state", "position:1" + "0" * 400, element
     )
+    assert proc.returncode == 0, proc.stderr
+    with mpmath.workdps(440):
+        exact = complex(mpmath.expj(mpmath.mpf(10) ** 400 / 3))
+    value = json.loads(proc.stdout)
+    assert abs(complex(value["re"], value["im"]) - exact) <= 1e-15
+    # past Python's 4300-digit limit on int strings the rational is refused
+    proc = run_fresh(
+        "-m", "weylreps.cli", "eval-state", "--state", "position:1" + "0" * 5000, element
+    )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(r"error: [^\n]*\n", proc.stderr)
+
+
+def test_eval_state_past_the_phase_size_limit_exits_2(capsys, tmp_path):
+    # exponent notation passes the 4300-digit limit: 10^100000 / 3 is an
+    # angle past 2^65536, refused as a size limit
+    element = write_json(tmp_path / "u.json", [{"a": "1/3", "b": "0", "re": 1.0, "im": 0.0}])
+    assert main(["eval-state", "--state", "position:1e100000", element]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: phase angle past the size limit [^\n]*\n", captured.err)
 
 
 def test_continuity_scan_position(capsys):
@@ -200,7 +220,8 @@ def test_mean_frequency_out_of_float_range_exits_2(capsys, tmp_path, freq):
     assert main(["mean", poly]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: (1/)?frequency out of float range: .*\n", captured.err)
+    assert re.fullmatch(rf"error: {re.escape(poly)}: (1/)?frequency out of float range: .*\n",
+                        captured.err)
 
 
 def test_verify_algebra_suite(capsys):
@@ -251,6 +272,7 @@ def test_mean_oversized_or_non_finite_n_exits_2(poly_file, n):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+    assert poly_file not in proc.stderr  # the averaging length is not the file's fault
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
@@ -361,6 +383,27 @@ def test_eval_state_malformed_record_exits_2_with_one_error_line(capsys, tmp_pat
     errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and captured.err.count("\n") == 1
     assert "bad element record" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "{bad}", "{good}"],
+        ["eval-state", "--state", "vacuum", "{bad}"],
+        ["gns-build", "--state", "vacuum", "{bad}"],
+    ],
+    ids=["product", "eval-state", "gns-build"],
+)
+def test_records_whose_merge_passes_the_float_range_name_the_file(capsys, tmp_path, u1_file,
+                                                                   argv):
+    # each record is finite; their sum at one label is not
+    record = {"a": "0", "b": "0", "re": 1.7e308, "im": 0.0}
+    records = [[record, record]] if argv[0] == "gns-build" else [record, record]
+    bad = write_json(tmp_path / "merge.json", records)
+    assert main([arg.format(bad=bad, good=u1_file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: {re.escape(bad)}: non-finite coefficient at .*\n", captured.err)
 
 
 def test_gns_build_momentum_pins_reduction_shifts(capsys, tmp_path):

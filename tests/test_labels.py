@@ -20,12 +20,13 @@ import random
 import sys
 from fractions import Fraction
 
-from weylreps.algebra import PRUNE_TOL, WeylElement, WeylIndex, phase, phase_ratio
+from weylreps.algebra import EXACT_TOL, PRUNE_TOL, WeylElement, WeylIndex, phase, phase_ratio
 from weylreps.gns import GnsVector, reduce_momentum, reduce_position
 from weylreps.states import momentum_state, position_state, vacuum_state
 
 MODULUS = sys.hash_info.modulus
-SCALES = (10, 10**4, 10**8, 10**100)
+# at 10**300 the product angles pass 2**1023, the import-time precision of 2 pi
+SCALES = (10, 10**4, 10**8, 10**100, 10**300)
 
 
 # -- the Fraction route ------------------------------------------------------
@@ -172,7 +173,7 @@ def test_label_order_is_tuple_order_at_every_scale():
 
 def test_phase_ratio_on_an_unreduced_ratio_is_the_fraction_phase():
     rng = random.Random(7)
-    for magnitude in (1, 2**64, 2**1023):
+    for magnitude in (1, 2**64, 2**1023, 2**4000):
         for _ in range(200):
             q = rng.randint(1, 10**6)
             theta = Fraction(rng.randint(-magnitude * q, magnitude * q), q)
@@ -182,16 +183,28 @@ def test_phase_ratio_on_an_unreduced_ratio_is_the_fraction_phase():
                 assert bits(phase_ratio(k * p, k * q)) == expected, (theta, k)
 
 
-def test_phase_ratio_refuses_past_the_float_range_however_unreduced():
+def test_phase_ratio_past_the_float_range_is_the_mpmath_phase_however_unreduced():
+    import mpmath
+
     for p, q in ((2**1024 + 1, 1), (-(2**1100), 3), (2**1023 * 5 + 1, 2)):
+        with mpmath.workdps(400):
+            exact = complex(mpmath.expj(mpmath.mpf(p) / q))
+        for k in (1, 7, 2**200):
+            assert abs(phase_ratio(k * p, k * q) - exact) <= 1e-15, (p, q, k)
+
+
+def test_phase_ratio_refuses_at_the_size_cap_however_unreduced():
+    # angles of 2**65536 and more are refused, reduced or not; just below are not
+    for p, q in ((2**65536, 1), (-(2**65536 * 3 + 1), 3)):
         for k in (1, 7, 2**200):
             try:
                 phase_ratio(k * p, k * q)
-            except ValueError:
+            except ValueError as exc:
+                assert "size limit" in str(exc)
                 continue
             raise AssertionError(f"phase_ratio accepted {p}/{q} times {k}")
-    # an unreduced ratio just inside the range is not refused
-    phase_ratio(2**1023 * 2**300, 2**300)
+    below = 2**65536 - 1
+    assert bits(phase_ratio(below * 2**300, 2**300)) == bits(phase_ratio(below, 1))
 
 
 # -- product, adjoint, kernel and Gram matrix against the Fraction route ---
@@ -209,6 +222,15 @@ def test_product_and_adjoint_equal_the_fraction_route():
         big_y = sum(right, WeylElement())
         assert as_pairs(big_x * big_y) == {key: bits(c) for key, c in
                                            reference_product(big_x, big_y).items()}
+
+
+def test_product_is_associative_at_1e300_labels():
+    rng = random.Random(12)
+    x, y, z = (sum(words(rng, 10**300, 4), WeylElement()) for _ in range(3))
+    left = (x * y) * z
+    assert as_pairs(left) == {key: bits(c) for key, c in
+                              reference_product(WeylElement(reference_product(x, y)), z).items()}
+    assert (left - x * (y * z)).max_coeff() <= EXACT_TOL
 
 
 def test_kernel_and_evaluation_equal_the_fraction_route():
@@ -245,10 +267,8 @@ def reference_vacuum_factors(basis: list, np) -> tuple:
     """C' and K' of the vacuum's Gram matrix C'^H K' C' on ``Fraction`` labels.
 
     Labels, a values and b values are numbered in the order the terms first
-    reach them.  The sorted a values fall into groups, runs in which each
-    value has a nonzero envelope with the next; a0, the origin of a, is the
-    first value of its group reached.  With P[a, b] = phase((a - a0) b / 2),
-    row s of C' is scaled by
+    reach them, and a0 is the first a value reached.  With
+    P[a, b] = phase((a - a0) b / 2), row s of C' is scaled by
     conj(P[a_s, b_s]), and K'[s, t] = P[a_s, b_t] conj(P[a_t, b_s]) times
     exp(-(a_s - a_t)^2 / 4) exp(-(b_s - b_t)^2 / 4), 0 past the float range.
     P is 0 where no cell with a nonzero envelope reads it.
@@ -272,16 +292,9 @@ def reference_vacuum_factors(basis: list, np) -> tuple:
         return out
 
     env_a, env_b = envelope(a_vals), envelope(b_vals)
-    groups = []
-    for a in sorted(a_vals):
-        if groups and env_a[a_vals.index(groups[-1][-1])][a_vals.index(a)]:
-            groups[-1].append(a)
-        else:
-            groups.append([a])
-    origin = {a: min(group, key=a_vals.index) for group in groups for a in group}
     needed = {(a, b2) for a, b in zip(ia, ib) for a2, b2 in zip(ia, ib)
               if env_a[a][a2] * env_b[b][b2]}
-    phases = [[phase((a - origin[a]) * b / 2) if (i, j) in needed else 0j
+    phases = [[phase((a - a_vals[0]) * b / 2) if (i, j) in needed else 0j
                for j, b in enumerate(b_vals)]
               for i, a in enumerate(a_vals)]
     coeffs = np.zeros((len(labels), len(basis)), dtype=complex)
@@ -324,15 +337,23 @@ def test_gram_matrix_equals_the_fraction_route():
             assert gram_matrix(state, basis).tobytes() == expected.tobytes()
 
 
+#: the tests that need a module besides the standard library
+NEEDS = {
+    "test_phase_ratio_past_the_float_range_is_the_mpmath_phase_however_unreduced": "mpmath",
+    "test_gram_matrix_equals_the_fraction_route": "numpy",
+}
+
 if __name__ == "__main__":
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        without = "test_gram_matrix_equals_the_fraction_route"
-        print(f"numpy is missing: {without} not run")
-    else:
-        without = None
-    names = [name for name in list(globals()) if name.startswith("test_") and name != without]
+    import importlib.util
+
+    names = []
+    for name in list(globals()):
+        if name.startswith("test_"):
+            module = NEEDS.get(name)
+            if module is None or importlib.util.find_spec(module) is not None:
+                names.append(name)
+            else:
+                print(f"{module} is missing: {name} not run")
     for name in names:
         globals()[name]()
     print(f"{len(names)} label checks passed on Python {sys.version.split()[0]}")

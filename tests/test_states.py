@@ -25,6 +25,7 @@ from weylreps import (
     vacuum_state,
     zero,
 )
+from weylreps.algebra import EXACT_TOL
 
 
 def test_position_state_values():
@@ -307,15 +308,17 @@ def test_vacuum_gram_matrix_reads_a_from_the_first_a_value():
     # a single generator's cell is 1 whatever the size of a b
     assert gram_matrix(omega, [generator(huge, huge)]).tolist() == [[1]]
     assert check_positivity(omega, [generator(huge, huge), generator(huge + 1, huge)]) > 0
-    # labels beyond each other's reach read a from origins of their own, so
-    # no phase (a - a0) b / 2 passes 2**1023 and the Gram matrix is the
-    # kernel route's identity
+    # labels beyond each other's reach: the cells between them are exactly 0,
+    # and W(0, huge) reads its phase (0 - huge) huge / 2 from a0 = huge, so
+    # its diagonal cell is 1 within roundoff, as in the kernel route
     labels = (WeylIndex(huge, 0), WeylIndex(0, huge))
     kernel = [[omega.kernel(s, t) for t in labels] for s in labels]
     assert kernel == [[1, 0], [0, 1]]
-    assert gram_matrix(omega, [generator(huge, 0), generator(0, huge)]).tolist() == kernel
-    # two groups of two a values each, reached interleaved, against the kernel
-    # route summed cell by cell
+    gram = gram_matrix(omega, [generator(huge, 0), generator(0, huge)])
+    assert gram[0, 1] == 0 and gram[1, 0] == 0
+    assert np.max(np.abs(np.diag(gram) - 1)) <= 1e-15
+    # two far groups of two a values each, reached interleaved, against the
+    # kernel route summed cell by cell
     basis = [generator(huge, 0), generator(0, huge),
              generator(huge + 1, 1) * 0.5 + generator(1, huge - 1) * 2j]
     expected = [[sum(c.conjugate() * d * omega.kernel(s, t) for s, c in x.terms.items()
@@ -323,16 +326,16 @@ def test_vacuum_gram_matrix_reads_a_from_the_first_a_value():
     assert np.max(np.abs(gram_matrix(omega, basis) - np.array(expected))) <= 1e-12
 
 
-def test_vacuum_gram_matrix_refuses_a_long_chain_of_a_values():
-    # each a value is within the Gaussian's reach of the next, so the six are
-    # one group read from a = 0, and the last phase angle 200 * 2e306 / 2
-    # passes 2**1023: a clean refusal, where the kernel route computes the
-    # matrix (1 on the diagonal, about 1.9e-174 between neighbours)
+def test_vacuum_gram_matrix_on_a_long_chain_of_a_values_is_the_kernel_route():
+    # each a value is within the Gaussian's reach of the next, and the last
+    # phase angle from a0 = 0, 200 * 2e306 / 2, passes 2**1023; the kernel
+    # route gives 1 on the diagonal and about 1.9e-174 between neighbours
+    omega = vacuum_state()
     basis = [generator(40 * k, 2 * 10**306) for k in range(6)]
-    s, t = (next(iter(x.terms)) for x in basis[:2])
-    assert abs(vacuum_state().kernel(s, t)) == pytest.approx(1.9e-174, rel=0.01)
-    with pytest.raises(ValueError, match=r"phase angle out of range"):
-        gram_matrix(vacuum_state(), basis)
+    labels = [next(iter(x.terms)) for x in basis]
+    kernel = np.array([[omega.kernel(s, t) for t in labels] for s in labels])
+    assert abs(kernel[0, 1]) == pytest.approx(1.9e-174, rel=0.01)
+    assert np.max(np.abs(gram_matrix(omega, basis) - kernel)) <= EXACT_TOL
 
 
 def test_vacuum_beyond_the_float_range_is_exactly_zero():
