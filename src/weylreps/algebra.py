@@ -19,11 +19,13 @@ with ``math.gcd``; only the coefficients live in floating point.  Elements
 are immutable; every operation returns a new element in normal form with
 near-zero coefficients pruned.  That normal form is :class:`SparseMap`, which
 the point-model vectors of ``reps`` and the trigonometric polynomials of
-``almost_periodic`` share.
+``almost_periodic`` share, keyed by :class:`RationalIndex`, the label's
+one-dimensional twin: the integers p/q of one rational.
 
 :func:`phase_ratio` reduces an exact angle p/q modulo 2 pi in integers
 before its one float ``exp``, so a phase is as accurate at label 1e1000 as
-at label 1; :func:`phase` takes the angle as a ``Fraction`` or an ``int``.
+at label 1; :func:`phase` takes the angle as a ``Fraction``, a
+``RationalIndex`` or an ``int``.
 """
 
 from __future__ import annotations
@@ -36,23 +38,44 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, "RationalIndex", int, str]
 
 # coefficients at or below this modulus are dropped during normalisation
 PRUNE_TOL = 1e-15
 EXACT_TOL = 1e-12  # a few float products and sums of unit-modulus phases
 
 
+# ``Fraction`` reads exponent notation and builds 10**|e| before any check,
+# a cost that Python's 4300-digit limit on int strings does not bound
+_MAX_EXPONENT = 100_000
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, a Fraction, or an exact string such as ``"3/2"``."""
+    """Coerce an int, a Fraction, a :class:`RationalIndex`, or an exact string
+    such as ``"3/2"`` or ``"1e-3"``.
+
+    A string whose decimal exponent passes 100000 in magnitude is
+    refused with ``ValueError`` before ``Fraction`` builds the power of ten.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        # Fraction reads the exponent after the last e; text whose tail int
+        # cannot read, Fraction refuses with its own message
+        _, e, exponent = value.lower().rpartition("e")
+        try:
+            too_large = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:
+            too_large = False
+        if too_large:
+            raise ValueError(f"decimal exponent past the size limit |e| <= {_MAX_EXPONENT}")
         return Fraction(value)
+    if isinstance(value, (int, RationalIndex)):
+        return Fraction(value.numerator, value.denominator)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def as_float(value: Fraction, what: str) -> float:
+def as_float(value: Union[Fraction, "RationalIndex"], what: str) -> float:
     """``float(value)``, refusing a value past the float range.
 
     ``float`` raises ``OverflowError`` there; like :func:`phase`, the
@@ -100,16 +123,14 @@ def _extend_two_pi(p: int, q: int, s: int) -> tuple[int, int]:
     return two_pi
 
 
-def phase(theta: Union[Fraction, int, float]) -> complex:
+def phase(theta: Union[Fraction, "RationalIndex", int, float]) -> complex:
     """exp(i*theta), the unit-modulus phase attached to exact angles.
 
-    A ``Fraction`` or ``int`` angle goes through :func:`phase_ratio`; a
-    float angle is used as it is.
+    An exact angle (``Fraction``, ``RationalIndex`` or ``int``) goes through
+    :func:`phase_ratio`; a float angle is used as it is.
     """
-    if isinstance(theta, Fraction):
+    if isinstance(theta, _EXACT):
         return phase_ratio(theta.numerator, theta.denominator)
-    if isinstance(theta, int):
-        return phase_ratio(theta, 1)
     return cmath.exp(1j * float(theta))
 
 
@@ -154,6 +175,133 @@ def _complex(value, key) -> complex:
         return complex(value)
     except OverflowError:
         raise ValueError(f"coefficient past the float range at {key}") from None
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+@functools.lru_cache(maxsize=1024)
+def _hash_inverse(q: int) -> int:
+    """1/q modulo the numeric-hash modulus; ``ValueError`` if q is a multiple."""
+    return pow(q, -1, _MODULUS)
+
+
+def _rational_hash(p: int, q: int) -> int:
+    """``hash(Fraction(p, q))`` for q > 0, from the integers alone.
+
+    By the documented rule for numeric hashes, a rational p/q whose q has an
+    inverse modulo ``sys.hash_info.modulus`` hashes as the int p times that
+    inverse, whatever factor p and q share.  A q without an inverse falls
+    back to the value in lowest terms, which hashes as an infinity if its
+    denominator is still a multiple of the modulus.
+    """
+    try:
+        inverse = _hash_inverse(q)
+    except ValueError:
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        if q % _MODULUS == 0:
+            return -sys.hash_info.inf if p < 0 else sys.hash_info.inf
+        inverse = pow(q, -1, _MODULUS)
+    return hash(p * inverse)
+
+
+_new_index = object.__new__
+
+
+@functools.total_ordering
+class RationalIndex:
+    """Exact rational key: a point of a ``reps`` vector, a frequency of an
+    ``almost_periodic`` polynomial; the one-dimensional twin of
+    :class:`WeylIndex`.
+
+    Immutable.  It stores the integers p/q in lowest terms with q > 0 (the
+    slots ``_p`` and ``_q``), on which the vector and polynomial operations
+    compute.  It equals, orders and prints as ``Fraction(p, q)``, reads
+    ``numerator``, ``denominator`` and ``float`` like it, adds and negates to
+    keys, and has its hash, computed once, when the key is built.
+    """
+
+    __slots__ = ("_p", "_q", "_hash")
+
+    def __new__(cls, value: RationalLike):
+        if isinstance(value, RationalIndex):
+            return value
+        value = value if isinstance(value, _EXACT) else as_fraction(value)
+        return _rational(value.numerator, value.denominator)
+
+    @property
+    def numerator(self) -> int:
+        return self._p
+
+    @property
+    def denominator(self) -> int:
+        return self._q
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RationalIndex):
+            return self._hash == other._hash and self._p == other._p and self._q == other._q
+        if isinstance(other, (int, Fraction)):
+            return self._p == other.numerator and self._q == other.denominator
+        return as_fraction(self).__eq__(other)
+
+    def __lt__(self, other) -> bool:
+        if isinstance(other, RationalIndex):
+            return self._p * other._q < other._p * self._q  # both denominators positive
+        return as_fraction(self).__lt__(other)
+
+    def __bool__(self) -> bool:
+        return self._p != 0
+
+    def __float__(self) -> float:
+        return self._p / self._q  # correctly rounded, as ``float`` of the Fraction
+
+    def __neg__(self) -> "RationalIndex":
+        return _rational(-self._p, self._q)
+
+    def __add__(self, other) -> "RationalIndex":
+        if isinstance(other, _EXACT):
+            return _rational_sum(self._p, self._q, other.numerator, other.denominator)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __reduce__(self):
+        return _rational, (self._p, self._q)
+
+    def __repr__(self) -> str:
+        return f"RationalIndex({str(self)!r})"
+
+    def __str__(self) -> str:
+        return str(self._p) if self._q == 1 else f"{self._p}/{self._q}"
+
+
+_EXACT = (int, Fraction, RationalIndex)
+
+
+def _rational(p: int, q: int) -> RationalIndex:
+    """The key p/q, for q > 0 and p, q without a common factor."""
+    key = _new_index(RationalIndex)
+    key._p = p
+    key._q = q
+    key._hash = _rational_hash(p, q)
+    return key
+
+
+def _rational_sum(p1: int, q1: int, p2: int, q2: int) -> RationalIndex:
+    """The key p1/q1 + p2/q2, for q1, q2 > 0, in lowest terms."""
+    if q1 == q2:
+        p, q = p1 + p2, q1
+    else:
+        p, q = p1 * q2 + p2 * q1, q1 * q2
+    if q != 1:
+        g = math.gcd(p, q)
+        if g != 1:
+            p, q = p // g, q // g
+    return _rational(p, q)
 
 
 class Record:
@@ -236,7 +384,7 @@ class SparseMap:
 
     __slots__ = ("_data",)
 
-    _key = staticmethod(as_fraction)
+    _key = RationalIndex
 
     def __init__(self, data: Union[Mapping, Iterable[Tuple], None] = None):
         clean: dict = {}
@@ -328,39 +476,9 @@ class SparseMap:
         return f"{type(self).__name__}({{{body}}}{extra})"
 
 
-_MODULUS = sys.hash_info.modulus
-
-
-@functools.lru_cache(maxsize=1024)
-def _hash_inverse(q: int) -> int:
-    """1/q modulo the numeric-hash modulus; ``ValueError`` if q is a multiple."""
-    return pow(q, -1, _MODULUS)
-
-
 def _label_hash(pa: int, pb: int, q: int) -> int:
-    """``hash((pa/q, pb/q))`` for q > 0, from the integers alone.
-
-    By the documented rule for numeric hashes, a rational p/q whose q has an
-    inverse modulo ``sys.hash_info.modulus`` hashes as the int p times that
-    inverse; a tuple hashes its items' hashes.  A q without an inverse
-    falls back to each coordinate in lowest terms.
-    """
-    if q == 1:
-        return hash((pa, pb))
-    try:
-        inverse = _hash_inverse(q)
-    except ValueError:
-        return hash((_lowest_terms_hash(pa, q), _lowest_terms_hash(pb, q)))
-    return hash((pa * inverse, pb * inverse))
-
-
-def _lowest_terms_hash(p: int, q: int) -> int:
-    """``hash(Fraction(p, q))`` for q > 0 a multiple of the modulus."""
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
-    if q % _MODULUS == 0:
-        return -sys.hash_info.inf if p < 0 else sys.hash_info.inf
-    return hash(p * pow(q, -1, _MODULUS))
+    """``hash((pa/q, pb/q))`` for q > 0: a tuple hashes its items' hashes."""
+    return hash((_rational_hash(pa, q), _rational_hash(pb, q)))
 
 
 @functools.total_ordering
@@ -379,9 +497,9 @@ class WeylIndex:
     __slots__ = ("_pa", "_pb", "_q", "_hash")
 
     def __init__(self, a: RationalLike, b: RationalLike):
-        # an int has a numerator and a denominator already
-        a = a if isinstance(a, (int, Fraction)) else as_fraction(a)
-        b = b if isinstance(b, (int, Fraction)) else as_fraction(b)
+        # an int and a key have a numerator and a denominator already
+        a = a if isinstance(a, _EXACT) else as_fraction(a)
+        b = b if isinstance(b, _EXACT) else as_fraction(b)
         qa, qb = a.denominator, b.denominator
         q = qa // math.gcd(qa, qb) * qb
         self._pa = a.numerator * (q // qa)
@@ -430,9 +548,6 @@ class WeylIndex:
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
-
-
-_new_index = object.__new__
 
 
 def _index(pa: int, pb: int, q: int) -> WeylIndex:

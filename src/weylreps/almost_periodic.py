@@ -1,10 +1,13 @@
 """Trigonometric polynomials with exact rational frequencies.
 
 A polynomial is a finite map frequency -> complex coefficient standing for
-``f(x) = sum_j c_j exp(i a_j x)``.  Multiplication convolves frequency
-supports, conjugation negates them, and the translation-invariant mean is
-literally the coefficient at frequency 0 - which makes translation
+``f(x) = sum_j c_j exp(i a_j x)``, its frequencies
+:class:`~weylreps.algebra.RationalIndex` keys.  Multiplication convolves
+frequency supports, conjugation negates them, and the translation-invariant
+mean is literally the coefficient at frequency 0 - which makes translation
 invariance and positivity of the mean exact statements rather than limits.
+The operations compute on the keys' integers, every phase one
+``phase_ratio`` on the unreduced angle.
 
 The same frequency-0 functional returns as ``haar_fourier``: the Fourier
 coefficients of the normalised invariant measure on the character
@@ -17,12 +20,14 @@ real momentum value coexists with a point position".
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence, Tuple
 
-from .algebra import RationalLike, Record, SparseMap, as_float, as_fraction, phase
+from .algebra import (RationalIndex, RationalLike, Record, SparseMap, _rational,
+                      _rational_sum, as_float, as_fraction, phase_ratio)
 from .reps import v_direction_matrix_element
+
+_ZERO = _rational(0, 1)
 
 
 class TrigPolynomial(SparseMap):
@@ -32,7 +37,7 @@ class TrigPolynomial(SparseMap):
     __slots__ = ()
 
     @property
-    def coefficients(self) -> Mapping[Fraction, complex]:
+    def coefficients(self) -> Mapping[RationalIndex, complex]:
         return MappingProxyType(self._data)
 
     def __add__(self, other):
@@ -48,30 +53,35 @@ class TrigPolynomial(SparseMap):
     def __mul__(self, other):
         if not isinstance(other, TrigPolynomial):
             return SparseMap.__mul__(self, other)
-        out: dict[Fraction, complex] = {}
-        for f1, c1 in self._data.items():
-            for f2, c2 in other._data.items():
-                freq = f1 + f2
-                out[freq] = out.get(freq, 0j) + c1 * c2
+        right = [(f._p, f._q, c) for f, c in other._data.items()]
+        out: dict[RationalIndex, complex] = {}
+        get = out.get
+        for f, c1 in self._data.items():
+            p1, q1 = f._p, f._q
+            for p2, q2, c2 in right:
+                freq = _rational_sum(p1, q1, p2, q2)
+                out[freq] = get(freq, 0j) + c1 * c2
         return self._new(out)
 
     def conjugate(self) -> "TrigPolynomial":
         """Star operation: frequencies flip sign, coefficients conjugate."""
-        return self._new({-f: c.conjugate() for f, c in self._data.items()})
+        return self._new({_rational(-f._p, f._q): c.conjugate() for f, c in self._data.items()})
 
     def translate(self, t: RationalLike) -> "TrigPolynomial":
         """f(. + t): each coefficient picks up the phase exp(i a t)."""
-        t = as_fraction(t)
-        return self._new({f: c * phase(f * t) for f, c in self._data.items()})
+        t = RationalIndex(t)
+        p, q = t._p, t._q
+        return self._new({f: c * phase_ratio(f._p * p, f._q * q) for f, c in self._data.items()})
 
     def evaluate_at(self, x: RationalLike) -> complex:
         """Pointwise value; a multiplicative functional on the algebra."""
-        x = as_fraction(x)
-        return sum((c * phase(f * x) for f, c in self._data.items()), 0j)
+        x = RationalIndex(x)
+        p, q = x._p, x._q
+        return sum((c * phase_ratio(f._p * p, f._q * q) for f, c in self._data.items()), 0j)
 
     def invariant_mean(self) -> complex:
         """The frequency-0 coefficient: exact value of the symmetric-average limit."""
-        return self._data.get(Fraction(0), 0j)
+        return self._data.get(_ZERO, 0j)
 
     def sup_norm_bounds(self) -> Tuple[float, float]:
         """(lower, upper) certified bracket for the sup norm.
@@ -110,11 +120,11 @@ class TrigPolynomial(SparseMap):
 
 def trig_generator(a: RationalLike) -> TrigPolynomial:
     """The character u_a(x) = exp(i a x)."""
-    return TrigPolynomial({as_fraction(a): 1.0 + 0j})
+    return TrigPolynomial({RationalIndex(a): 1.0 + 0j})
 
 
 def constant(c) -> TrigPolynomial:
-    return TrigPolynomial({Fraction(0): c})
+    return TrigPolynomial({_ZERO: c})
 
 
 def haar_fourier(a: RationalLike) -> complex:

@@ -129,7 +129,7 @@ def _oracle_polynomial(records):
     for freq in poly.coefficients:
         if freq:
             as_float(freq, "frequency")
-            as_float(1 / freq, "1/frequency")
+            as_float(1 / as_fraction(freq), "1/frequency")
     return poly
 
 

@@ -5,8 +5,9 @@ the geometry is defined by ``<A w, B w> = state(A* B)``.  Only the dense
 finitely generated subspace is represented - no completion is taken.  For
 the sharp position and momentum states the null-space structure is fully
 known, so those vectors also admit an exact canonical reduction onto the
-finitely-supported point model, and the two inner products agree to
-coefficient roundoff.
+finitely-supported point model (a ``FiniteSupportVector`` whose
+``RationalIndex`` keys are built from the points' integers), and the two
+inner products agree to coefficient roundoff.
 
 The module also packages the two executable obstruction facts:
 
@@ -33,6 +34,7 @@ from .algebra import (
     RationalLike,
     Record,
     WeylElement,
+    _rational,
     as_fraction,
     generator,
     identity,
@@ -209,9 +211,10 @@ def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
 
 def _reduce(v: GnsVector) -> FiniteSupportVector:
     """The word summed on the owner's point model (``states._point_rows``,
-    which also fills ``gram_matrix``'s R), as a vector of the owner's flavor."""
+    which also fills ``gram_matrix``'s R), as a vector of the owner's flavor
+    keyed by the points (n, d) in lowest terms."""
     rows, flat = _point_rows(v.owner, [v.word])
-    return FiniteSupportVector({Fraction(n, d): flat[row] for (n, d), row in rows.items()},
+    return FiniteSupportVector({_rational(n, d): flat[row] for (n, d), row in rows.items()},
                                v.owner.kind)
 
 

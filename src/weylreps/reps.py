@@ -1,7 +1,8 @@
 """Sharp-point representations on finitely supported vectors.
 
 Vectors are finite complex combinations of basis points ``phi_x`` indexed by
-exact rationals.  The ``position`` flavor acts by
+exact rationals, as :class:`~weylreps.algebra.RationalIndex` keys.  The
+``position`` flavor acts by
 
     U_a phi_x = exp(i a x) phi_x        (pointwise phase)
     V_b phi_x = phi_{x-b}               (translation)
@@ -16,15 +17,19 @@ swaps the two roles (``U_a`` translates ``x -> x+a``, ``V_b`` multiplies by
 Only the phase direction has a self-adjoint generator.  Asking for the other
 one raises :class:`NonexistentObservableError` - the representation-level
 form of position/momentum complementarity.
+
+The operators compute on the keys' integers: a translation adds p/q in
+lowest terms, and a phase exp(i t x) is one ``phase_ratio`` on the
+unreduced ratio, bit for bit the phase of the ``Fraction`` angle.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .algebra import RationalLike, SparseMap, WeylElement, as_float, as_fraction, phase
+from .algebra import (RationalIndex, RationalLike, SparseMap, WeylElement,
+                      _rational_sum, as_float, as_fraction, phase, phase_ratio)
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -40,7 +45,8 @@ class NonexistentObservableError(ValueError):
 
 
 class FiniteSupportVector(SparseMap):
-    """Finitely supported map from exact rational points to amplitudes.
+    """Finitely supported map from exact rational points (``RationalIndex``
+    keys, which equal and hash as the ``Fraction``s) to amplitudes.
 
     Vectors of different flavors live in different spaces: they compare
     unequal, and adding them or taking their inner product raises
@@ -62,7 +68,7 @@ class FiniteSupportVector(SparseMap):
         return new
 
     @property
-    def amplitudes(self) -> Mapping[Fraction, complex]:
+    def amplitudes(self) -> Mapping[RationalIndex, complex]:
         return MappingProxyType(self._data)
 
     def __eq__(self, other) -> bool:
@@ -93,7 +99,7 @@ class FiniteSupportVector(SparseMap):
 
 def basis_vector(point: RationalLike, flavor: str = POSITION) -> FiniteSupportVector:
     """The characteristic function of a single point."""
-    return FiniteSupportVector({as_fraction(point): 1.0 + 0j}, flavor)
+    return FiniteSupportVector({RationalIndex(point): 1.0 + 0j}, flavor)
 
 
 def inner(u: FiniteSupportVector, v: FiniteSupportVector) -> complex:
@@ -101,24 +107,30 @@ def inner(u: FiniteSupportVector, v: FiniteSupportVector) -> complex:
     return u.inner(v)
 
 
-def _phased(v: FiniteSupportVector, t: Fraction) -> FiniteSupportVector:
-    return v._new({p: c * phase(t * p) for p, c in v.amplitudes.items()})
+def _phased(v: FiniteSupportVector, p: int, q: int) -> FiniteSupportVector:
+    """exp(i (p/q) x) at each point x, for q > 0."""
+    return v._new({x: c * phase_ratio(p * x._p, q * x._q) for x, c in v._data.items()})
 
 
-def _shifted(v: FiniteSupportVector, t: Fraction) -> FiniteSupportVector:
-    return v._new({p + t: c for p, c in v.amplitudes.items()})
+def _shifted(v: FiniteSupportVector, p: int, q: int) -> FiniteSupportVector:
+    """Each point x moved to x + p/q, for q > 0."""
+    return v._new({_rational_sum(x._p, x._q, p, q): c for x, c in v._data.items()})
 
 
 def apply_U(a: RationalLike, v: FiniteSupportVector) -> FiniteSupportVector:
     """Phase multiplication in the position flavor, translation in momentum."""
-    a = as_fraction(a)
-    return _phased(v, a) if v.flavor == POSITION else _shifted(v, a)
+    a = RationalIndex(a)
+    if v.flavor == POSITION:
+        return _phased(v, a._p, a._q)
+    return _shifted(v, a._p, a._q)
 
 
 def apply_V(b: RationalLike, v: FiniteSupportVector) -> FiniteSupportVector:
     """Translation in the position flavor, phase multiplication in momentum."""
-    b = as_fraction(b)
-    return _shifted(v, -b) if v.flavor == POSITION else _phased(v, b)
+    b = RationalIndex(b)
+    if v.flavor == POSITION:
+        return _shifted(v, -b._p, b._q)
+    return _phased(v, b._p, b._q)
 
 
 def apply_Q(v: FiniteSupportVector) -> FiniteSupportVector:
@@ -166,11 +178,16 @@ def finite_difference_generator(
 
 def apply_element(x: WeylElement, v: FiniteSupportVector) -> FiniteSupportVector:
     """Act by a normal-ordered element: each W(a, b) applies V_b then U_a."""
-    total: dict[Fraction, complex] = {}
-    for (a, b), c in x.terms.items():
-        moved = apply_U(a, apply_V(b, v))
-        for point, amp in moved.amplitudes.items():
-            total[point] = total.get(point, 0j) + c * amp
+    total: dict[RationalIndex, complex] = {}
+    get = total.get
+    for index, c in x._data.items():
+        pa, pb, q = index._pa, index._pb, index._q
+        if v.flavor == POSITION:
+            moved = _phased(_shifted(v, -pb, q), pa, q)
+        else:
+            moved = _shifted(_phased(v, pb, q), pa, q)
+        for point, amp in moved._data.items():
+            total[point] = get(point, 0j) + c * amp
     return v._new(total)
 
 

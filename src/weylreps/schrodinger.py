@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .algebra import Record, as_float
+from .algebra import Record, as_float, as_fraction
 from .almost_periodic import TrigPolynomial
 
 if TYPE_CHECKING:
@@ -240,7 +240,7 @@ def truncation_bound(f: TrigPolynomial, n: float) -> float:
     """
     n = _averaging_length(n)
     return math.fsum(
-        2.0 * abs(c) * abs(as_float(1 / freq, "1/frequency")) / n
+        2.0 * abs(c) * abs(as_float(1 / as_fraction(freq), "1/frequency")) / n
         for freq, c in f.coefficients.items()
         if freq != 0
     )

@@ -153,6 +153,19 @@ def test_as_fraction_parses_exact_strings():
         as_fraction(1.5)
 
 
+@pytest.mark.parametrize("text", ["1e3000000", "-2.5E+999999999", "1e-3000000", "3e1_000_001"])
+def test_as_fraction_refuses_a_decimal_exponent_past_the_size_limit(text):
+    # Fraction would build 10**|e| first: about 415 MB at e = 999999999
+    with pytest.raises(ValueError, match="decimal exponent past the size limit"):
+        as_fraction(text)
+
+
+def test_as_fraction_admits_decimal_exponents_up_to_the_size_limit():
+    assert as_fraction("1e100000") == 10**100000
+    assert as_fraction(" -3.5e-100000 ") == Fraction(-35, 10**100001)
+    assert as_fraction("2E+0") == 2
+
+
 @given(fractions_st, fractions_st)
 def test_exchange_relation(a, b):
     lhs = generator(a, 0) * generator(0, b)

@@ -135,6 +135,31 @@ def test_eval_state_past_the_phase_size_limit_exits_2(capsys, tmp_path):
     assert re.fullmatch(r"error: phase angle past the size limit [^\n]*\n", captured.err)
 
 
+@pytest.mark.parametrize("where", ["state", "record"])
+def test_eval_state_past_the_decimal_exponent_limit_exits_2(capsys, tmp_path, where):
+    # refused before Fraction builds 10^3000000, which took about 1.3 s
+    a = "1e3000000" if where == "record" else "1/3"
+    element = write_json(tmp_path / "u.json", [{"a": a, "b": "0", "re": 1.0, "im": 0.0}])
+    state = "position:1e3000000" if where == "state" else "vacuum"
+    assert main(["eval-state", "--state", state, element]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*1e3000000[^\n]*\n", captured.err)
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+# ``name|arguments`` lines; the CI's no-numpy step runs the same cases
+GOLDEN_CASES = [line.split("|") for line in (GOLDEN / "cases.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name, args", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_cli_stdout_is_byte_identical_to_its_golden_file(capsys, monkeypatch, name, args):
+    # a changed key string, key order or float shows as a changed byte
+    monkeypatch.chdir(GOLDEN)
+    assert main(args.split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
 def test_continuity_scan_position(capsys):
     assert (
         main(

@@ -1,4 +1,4 @@
-"""The integer-lattice label contract, pinned against a ``Fraction`` route.
+"""The integer-lattice label and key contracts, pinned against a ``Fraction`` route.
 
 A label stores (a, b) as the integers (p_a, p_b, q).  These tests check
 that its hash is the hash of the pair ``(a, b)``, that it orders as the
@@ -7,6 +7,13 @@ pair, that ``phase_ratio`` on an unreduced ratio is the phase of the
 canonical reductions and the Gram matrix equal, bit for bit, a reference
 that computes on ``Fraction`` labels as the package did before the labels
 held integers.
+
+A point or frequency key (``RationalIndex``) stores p/q as two integers.
+The tests check that it hashes, equals, orders, adds, negates, prints and
+pickles as the ``Fraction``; that the point-model operators, the
+trigonometric polynomial operations and the canonical reduction equal, bit
+for bit, a reference on ``Fraction`` keys; and that those operations, on
+prebuilt vectors and polynomials, construct and hash no ``Fraction``.
 
 The file needs neither pytest nor numpy, except for the Gram matrix test;
 run it as a script to check the contract on an interpreter without them:
@@ -20,9 +27,14 @@ import random
 import sys
 from fractions import Fraction
 
-from weylreps.algebra import EXACT_TOL, PRUNE_TOL, WeylElement, WeylIndex, phase, phase_ratio
+from weylreps import gns, reps
+from weylreps.algebra import (EXACT_TOL, PRUNE_TOL, RationalIndex, WeylElement, WeylIndex, phase,
+                              phase_ratio)
+from weylreps.almost_periodic import TrigPolynomial, trig_generator
 from weylreps.gns import GnsVector, reduce_momentum, reduce_position
-from weylreps.states import momentum_state, position_state, vacuum_state
+from weylreps.reps import FiniteSupportVector
+from weylreps.serialize import trig_to_records, vector_to_records
+from weylreps.states import _point_rows, momentum_state, position_state, vacuum_state
 
 MODULUS = sys.hash_info.modulus
 # at 10**300 the product angles pass 2**1023, the import-time precision of 2 pi
@@ -335,6 +347,232 @@ def test_gram_matrix_equals_the_fraction_route():
                         reduced[rows[point], j] = amplitude
                 expected = reduced.conj().T @ reduced
             assert gram_matrix(state, basis).tobytes() == expected.tobytes()
+
+
+# -- the point and frequency key ---------------------------------------------
+
+def key_cases() -> list:
+    """Rationals from 1 to 10**300 in size, and denominators that are
+    multiples of the hash modulus (the fallback hash path)."""
+    cases = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, MODULUS),
+             Fraction(-5, 3 * MODULUS), Fraction(7, MODULUS**2), Fraction(-MODULUS),
+             Fraction(MODULUS - 1, MODULUS + 1), Fraction(10**300 + 1, 7 * MODULUS)]
+    rng = random.Random(13)
+    for scale in (1, 10, 10**8, 10**100, 10**300):
+        cases += [rational(rng, scale) for _ in range(30)]
+    return cases
+
+
+def test_key_is_its_fraction():
+    import pickle
+
+    cases = key_cases()
+    keys = [RationalIndex(f) for f in cases]
+    for key, f in zip(keys, cases):
+        assert hash(key) == hash(f), f
+        assert key == f and f == key and not key != f
+        assert (key.numerator, key.denominator) == (f.numerator, f.denominator)
+        assert str(key) == str(f) and float(key) == float(f) and bool(key) == bool(f)
+        negated = -key
+        assert type(negated) is RationalIndex and negated == -f and hash(negated) == hash(-f)
+        copied = pickle.loads(pickle.dumps(key))
+        assert type(copied) is RationalIndex and copied == key and hash(copied) == hash(key)
+        assert RationalIndex(str(f)) == key and RationalIndex(key) == key
+        for n in (0, 1, -2, 10**300):
+            assert (key == n) == (f == n) and (n == key) == (n == f)
+            assert (key < n) == (f < n) and (n < key) == (n < f)
+    for key, f in zip(keys, cases):
+        for other_key, other in zip(keys[::7], cases[::7]):
+            assert (key == other_key) == (f == other)
+            assert (key < other_key) == (f < other) and (key > other_key) == (f > other)
+            assert (key <= other) == (f <= other) and (other < key) == (other < f)
+            total = key + other_key
+            assert type(total) is RationalIndex and total == f + other
+            assert hash(total) == hash(f + other)
+            assert key + other == f + other == other + key
+    assert sorted(keys) == sorted(cases)
+
+
+# -- points and frequencies against the Fraction route -----------------------
+# The package's operations as they computed on ``Fraction`` keys, on dicts.
+
+def prune(amplitudes: dict) -> dict:
+    return {key: c for key, c in amplitudes.items() if abs(c) > PRUNE_TOL}
+
+
+def reference_phased(v: dict, t: Fraction) -> dict:
+    return prune({p: c * phase(t * p) for p, c in v.items()})
+
+
+def reference_shifted(v: dict, t: Fraction) -> dict:
+    return prune({p + t: c for p, c in v.items()})
+
+
+def reference_apply_element(x: WeylElement, v: dict, flavor: str) -> dict:
+    total = {}
+    for (a, b), c in x.terms.items():
+        if flavor == "position":
+            moved = reference_phased(reference_shifted(v, -b), a)
+        else:
+            moved = reference_shifted(reference_phased(v, b), a)
+        for point, amp in moved.items():
+            total[point] = total.get(point, 0j) + c * amp
+    return prune(total)
+
+
+def reference_inner(u: dict, v: dict) -> complex:
+    small, large = (u, v) if len(u) <= len(v) else (v, u)
+    total = 0j
+    for point in small:
+        if point in large:
+            total += u[point].conjugate() * v[point]
+    return total
+
+
+def reference_trig_product(f: dict, g: dict) -> dict:
+    out = {}
+    for f1, c1 in f.items():
+        for f2, c2 in g.items():
+            freq = f1 + f2
+            out[freq] = out.get(freq, 0j) + c1 * c2
+    return prune(out)
+
+
+def reference_conjugate(f: dict) -> dict:
+    return prune({-a: c.conjugate() for a, c in f.items()})
+
+
+def reference_translate(f: dict, t: Fraction) -> dict:
+    return prune({a: c * phase(a * t) for a, c in f.items()})
+
+
+def reference_evaluate_at(f: dict, x: Fraction) -> complex:
+    return sum((c * phase(a * x) for a, c in f.items()), 0j)
+
+
+def reference_reduce(state, word: WeylElement) -> dict:
+    """The point-model rows keyed by ``Fraction(n, d)``, merged as a map's
+    constructor merges them (from 0j)."""
+    rows, flat = _point_rows(state, [word])
+    return prune({Fraction(n, d): 0j + flat[row] for (n, d), row in rows.items()})
+
+
+def keyed_bits(amplitudes) -> list:
+    """(key, bits) in the map's order."""
+    return [(key, bits(c)) for key, c in amplitudes.items()]
+
+
+def sparse_dicts(rng: random.Random, scale: int, count: int) -> list:
+    """``count`` maps of 1-5 keys over a 6-value alphabet, so that they meet."""
+    alphabet = [rational(rng, scale) for _ in range(6)]
+    return [{key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for key in rng.sample(alphabet, rng.randint(1, 5))} for _ in range(count)]
+
+
+ROUTE_SCALES = (1, 10**8, 10**300)  # at 10**300 the angles pass 2**1023
+
+
+def test_point_model_equals_the_fraction_route():
+    rng = random.Random(14)
+    for scale in ROUTE_SCALES:
+        for flavor in ("position", "momentum"):
+            dicts = sparse_dicts(rng, scale, 8)
+            vectors = [FiniteSupportVector(d, flavor) for d in dicts]
+            for v, d in zip(vectors, dicts):
+                assert all(type(key) is RationalIndex for key in v.amplitudes)
+                t = rational(rng, scale)
+                phased = reps._phased(v, t.numerator, t.denominator)
+                shifted = reps._shifted(v, t.numerator, t.denominator)
+                assert all(type(key) is RationalIndex for key in shifted.amplitudes)
+                assert keyed_bits(phased.amplitudes) == keyed_bits(reference_phased(d, t))
+                assert keyed_bits(shifted.amplitudes) == keyed_bits(reference_shifted(d, t))
+                for x in words(rng, scale, 3):
+                    assert keyed_bits(reps.apply_element(x, v).amplitudes) == \
+                        keyed_bits(reference_apply_element(x, d, flavor))
+                for w, e in zip(vectors, dicts):
+                    assert bits(reps.inner(v, w)) == bits(reference_inner(d, e))
+
+
+def test_polynomials_equal_the_fraction_route():
+    rng = random.Random(15)
+    for scale in ROUTE_SCALES:
+        dicts = sparse_dicts(rng, scale, 8)
+        polys = [TrigPolynomial(d) for d in dicts]
+        for f, d in zip(polys, dicts):
+            t = rational(rng, scale)
+            assert keyed_bits(f.conjugate().coefficients) == keyed_bits(reference_conjugate(d))
+            assert keyed_bits(f.translate(t).coefficients) == \
+                keyed_bits(reference_translate(d, t))
+            assert bits(f.evaluate_at(t)) == bits(reference_evaluate_at(d, t))
+            for g, e in zip(polys, dicts):
+                assert keyed_bits((f * g).coefficients) == \
+                    keyed_bits(reference_trig_product(d, e))
+
+
+def test_reduce_equals_the_fraction_route():
+    rng = random.Random(16)
+    for scale in ROUTE_SCALES:
+        for state in states_at(rng, scale)[:2]:
+            for x in words(rng, scale, 10):
+                assert keyed_bits(gns._reduce(GnsVector(x, state)).amplitudes) == \
+                    keyed_bits(reference_reduce(state, x))
+
+
+# -- no Fraction on the hot paths --------------------------------------------
+
+class FractionCounter:
+    """Counts the ``Fraction``s constructed and hashed while it is entered."""
+
+    def __enter__(self):
+        self.built = self.hashed = 0
+        self._saved = Fraction.__dict__["__new__"], Fraction.__dict__["__hash__"]
+        new, hash_ = Fraction.__new__, Fraction.__hash__
+
+        def counting_new(cls, *args, **kwargs):
+            self.built += 1
+            return new(cls, *args, **kwargs)
+
+        def counting_hash(value):
+            self.hashed += 1
+            return hash_(value)
+
+        Fraction.__new__ = staticmethod(counting_new)
+        Fraction.__hash__ = counting_hash
+        return self
+
+    def __exit__(self, *exc_info):
+        Fraction.__new__, Fraction.__hash__ = self._saved
+
+
+def test_hot_paths_construct_and_hash_no_fraction():
+    rng = random.Random(17)
+    scale = 10**8
+    states = states_at(rng, scale)[:2]
+    word = words(rng, scale, 1)[0]
+    shift = rational(rng, scale)
+    vectors = [FiniteSupportVector(d, flavor) for flavor in ("position", "momentum")
+               for d in sparse_dicts(rng, scale, 2)]
+    f, g = (TrigPolynomial(d) for d in sparse_dicts(rng, scale, 2))
+    with FractionCounter() as counter:
+        for v in vectors:
+            reps.apply_U(shift, v)
+            reps.apply_V(shift, v)
+            reps.apply_element(word, v)
+            reps.inner(v, v)
+            v + v
+            vector_to_records(v)
+        reps.basis_vector(shift)
+        (f * g).conjugate().translate(shift).evaluate_at(shift)
+        f.invariant_mean()
+        trig_generator(shift)
+        trig_to_records(f - g)
+        for state in states:
+            gns._reduce(GnsVector(word, state))
+    assert (counter.built, counter.hashed) == (0, 0)
+    # the counter sees a Fraction made and hashed as it is entered again
+    with FractionCounter() as counter:
+        hash(Fraction(1, 3))
+    assert (counter.built, counter.hashed) == (1, 1)
 
 
 #: the tests that need a module besides the standard library
