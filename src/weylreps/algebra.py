@@ -453,6 +453,12 @@ class SparseMap:
 
     __rmul__ = __mul__
 
+    def _phased(self, p: int, q: int) -> "SparseMap":
+        """Each value times exp(i (p/q) k) at its ``RationalIndex`` key k, for
+        q > 0: one ``phase_ratio`` on the unreduced angle.  A point-model
+        phase and a polynomial's translate."""
+        return self._new({k: c * phase_ratio(p * k._p, q * k._q) for k, c in self._data.items()})
+
     def l1_bound(self) -> float:
         """Sum of value moduli; for an algebra element, the operator-norm
         bound that every norm statement in this package goes through."""

@@ -70,8 +70,7 @@ class TrigPolynomial(SparseMap):
     def translate(self, t: RationalLike) -> "TrigPolynomial":
         """f(. + t): each coefficient picks up the phase exp(i a t)."""
         t = RationalIndex(t)
-        p, q = t._p, t._q
-        return self._new({f: c * phase_ratio(f._p * p, f._q * q) for f, c in self._data.items()})
+        return self._phased(t._p, t._q)
 
     def evaluate_at(self, x: RationalLike) -> complex:
         """Pointwise value; a multiplicative functional on the algebra."""
@@ -128,8 +127,8 @@ def constant(c) -> TrigPolynomial:
 
 
 def haar_fourier(a: RationalLike) -> complex:
-    """Fourier coefficient of the invariant measure: 1 at frequency 0, else 0."""
-    return (1.0 + 0j) if as_fraction(a) == 0 else 0j
+    """Fourier coefficient of the invariant measure, the mean of u_a: 1 at a = 0, else 0."""
+    return trig_generator(a).invariant_mean()
 
 
 class FourierWitness(Record):

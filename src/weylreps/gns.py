@@ -131,30 +131,9 @@ def gns_inner(u: GnsVector, v: GnsVector) -> complex:
     return total
 
 
-def _squared_norm(v: GnsVector) -> float:
-    """Re <v, v>, summed once per unordered pair of terms.
-
-    K(t, s) = conj K(s, t), so the pair (s, t) and its mirror add up to
-    2 Re(conj(c_s) c_t K(s, t)): n(n + 1)/2 kernel calls for n terms where
-    ``gns_inner(v, v)`` makes n^2.
-    """
-    kernel = v.owner.kernel
-    terms = list(v.word.terms.items())
-    total = 0.0
-    for i, (s, c) in enumerate(terms):
-        conj = c.conjugate()
-        pairs = 0j
-        for t, d in terms[i + 1:]:
-            value = kernel(s, t)
-            if value:
-                pairs += conj * d * value
-        total += (conj * c * kernel(s, s)).real + 2.0 * pairs.real
-    return total
-
-
 def gns_norm(v: GnsVector) -> float:
     """Norm from the state; tiny negative roundoff is clamped to zero."""
-    return math.sqrt(max(_squared_norm(v), 0.0))
+    return math.sqrt(max(gns_inner(v, v).real, 0.0))
 
 
 def gns_apply(x: WeylElement, v: GnsVector) -> GnsVector:
@@ -171,7 +150,7 @@ def is_null(v: GnsVector) -> bool:
     """
     reduced = _reduction(v)
     if reduced is None:
-        return _squared_norm(v) < EXACT_TOL
+        return gns_inner(v, v).real < EXACT_TOL
     return not reduced
 
 
@@ -315,7 +294,7 @@ def eigenvector_witness(
     for t in probe_list:
         shifted = gns_apply(_family_generator(regular, t), omega) - phase(t * kappa) * omega
         eigen_dev = max(eigen_dev, _reduction(shifted).norm())
-        gram_residual = max(gram_residual, abs(_squared_norm(shifted)))
+        gram_residual = max(gram_residual, abs(gns_inner(shifted, shifted).real))
 
     chain_dev = 0.0
     model_phi = basis_vector(kappa, state.kind)

@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .algebra import (RationalIndex, RationalLike, SparseMap, WeylElement,
-                      _rational_sum, as_float, as_fraction, phase, phase_ratio)
+                      _rational_sum, as_float, as_fraction, phase)
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -107,30 +107,40 @@ def inner(u: FiniteSupportVector, v: FiniteSupportVector) -> complex:
     return u.inner(v)
 
 
-def _phased(v: FiniteSupportVector, p: int, q: int) -> FiniteSupportVector:
-    """exp(i (p/q) x) at each point x, for q > 0."""
-    return v._new({x: c * phase_ratio(p * x._p, q * x._q) for x, c in v._data.items()})
-
-
 def _shifted(v: FiniteSupportVector, p: int, q: int) -> FiniteSupportVector:
     """Each point x moved to x + p/q, for q > 0."""
     return v._new({_rational_sum(x._p, x._q, p, q): c for x, c in v._data.items()})
 
 
+def _u_step(v: FiniteSupportVector, p: int, q: int) -> FiniteSupportVector:
+    """:func:`apply_U` at p/q, for q > 0 and any common factor."""
+    return v._phased(p, q) if v.flavor == POSITION else _shifted(v, p, q)
+
+
+def _v_step(v: FiniteSupportVector, p: int, q: int) -> FiniteSupportVector:
+    """:func:`apply_V` at p/q, for q > 0 and any common factor."""
+    return _shifted(v, -p, q) if v.flavor == POSITION else v._phased(p, q)
+
+
 def apply_U(a: RationalLike, v: FiniteSupportVector) -> FiniteSupportVector:
     """Phase multiplication in the position flavor, translation in momentum."""
     a = RationalIndex(a)
-    if v.flavor == POSITION:
-        return _phased(v, a._p, a._q)
-    return _shifted(v, a._p, a._q)
+    return _u_step(v, a._p, a._q)
 
 
 def apply_V(b: RationalLike, v: FiniteSupportVector) -> FiniteSupportVector:
     """Translation in the position flavor, phase multiplication in momentum."""
     b = RationalIndex(b)
-    if v.flavor == POSITION:
-        return _shifted(v, -b._p, b._q)
-    return _phased(v, b._p, b._q)
+    return _v_step(v, b._p, b._q)
+
+
+def _point_operator(v: FiniteSupportVector, flavor: str) -> FiniteSupportVector:
+    """Each amplitude times its point, in ``flavor`` only."""
+    if v.flavor != flavor:
+        raise NonexistentObservableError(
+            f"nonexistent observable: no {flavor} operator in the {v.flavor} flavor"
+        )
+    return v._new({p: c * as_float(p, "point") for p, c in v.amplitudes.items()})
 
 
 def apply_Q(v: FiniteSupportVector) -> FiniteSupportVector:
@@ -139,11 +149,7 @@ def apply_Q(v: FiniteSupportVector) -> FiniteSupportVector:
     Exists only in the position flavor.  In the momentum flavor the phase
     family ``U_a`` is discontinuous, so it has no self-adjoint generator.
     """
-    if v.flavor != POSITION:
-        raise NonexistentObservableError(
-            "nonexistent observable: no position operator in the momentum flavor"
-        )
-    return v._new({p: c * as_float(p, "point") for p, c in v.amplitudes.items()})
+    return _point_operator(v, POSITION)
 
 
 def apply_P(v: FiniteSupportVector) -> FiniteSupportVector:
@@ -152,11 +158,7 @@ def apply_P(v: FiniteSupportVector) -> FiniteSupportVector:
     Exists only in the momentum flavor; in the position flavor ``V_b`` is
     discontinuous and has no generator.
     """
-    if v.flavor != MOMENTUM:
-        raise NonexistentObservableError(
-            "nonexistent observable: no momentum operator in the position flavor"
-        )
-    return v._new({p: c * as_float(p, "point") for p, c in v.amplitudes.items()})
+    return _point_operator(v, MOMENTUM)
 
 
 def finite_difference_generator(
@@ -181,11 +183,7 @@ def apply_element(x: WeylElement, v: FiniteSupportVector) -> FiniteSupportVector
     total: dict[RationalIndex, complex] = {}
     get = total.get
     for index, c in x._data.items():
-        pa, pb, q = index._pa, index._pb, index._q
-        if v.flavor == POSITION:
-            moved = _phased(_shifted(v, -pb, q), pa, q)
-        else:
-            moved = _shifted(_phased(v, pb, q), pa, q)
+        moved = _u_step(_v_step(v, index._pb, index._q), index._pa, index._q)
         for point, amp in moved._data.items():
             total[point] = get(point, 0j) + c * amp
     return v._new(total)

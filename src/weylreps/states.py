@@ -81,23 +81,20 @@ class StateFunctional(Record):
     def _lattice_value(self, pa: int, pb: int, q: int) -> complex:
         """Value on W(pa/q, pb/q), for q > 0 and any common factor of the three.
 
-        The sharp states' zeros are decided exactly on the integers, and
-        every float is a correctly rounded quotient, so the value does not
-        depend on the common factor.
+        A sharp state is exp(i t kappa) on its regular axis (t = a for
+        position, b for momentum) and exactly 0 off it, decided on the
+        integers; every float is a correctly rounded quotient, so the value
+        does not depend on the common factor.
         """
-        if self.kind == POSITION:
-            if pb == 0:
-                lam = self.parameter
-                return phase_ratio(pa * lam.numerator, q * lam.denominator)
-            return 0j
-        if self.kind == MOMENTUM:
-            if pa == 0:
-                mu = self.parameter
-                return phase_ratio(pb * mu.numerator, q * mu.denominator)
-            return 0j
-        # vacuum: normal-ordering phase times the Gaussian envelope, which
-        # damps the float angle's error to (|ab|/2) 2**-53 e^{-(a^2+b^2)/4}
-        # <= 2**-53/e, and is exactly 0 past the float range of a^2 + b^2
+        if self.kind != VACUUM:
+            t, off = (pa, pb) if self.kind == POSITION else (pb, pa)
+            if off:
+                return 0j
+            kappa = self.parameter
+            return phase_ratio(t * kappa.numerator, q * kappa.denominator)
+        # normal-ordering phase times the Gaussian envelope, which damps the
+        # float angle's error to (|ab|/2) 2**-53 e^{-(a^2+b^2)/4} <= 2**-53/e,
+        # and is exactly 0 past the float range of a^2 + b^2
         qq = q * q
         try:
             return cmath.exp(complex(-((pa * pa + pb * pb) / qq) / 4.0, -((pa * pb) / qq) / 2.0))

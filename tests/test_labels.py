@@ -481,7 +481,7 @@ def test_point_model_equals_the_fraction_route():
             for v, d in zip(vectors, dicts):
                 assert all(type(key) is RationalIndex for key in v.amplitudes)
                 t = rational(rng, scale)
-                phased = reps._phased(v, t.numerator, t.denominator)
+                phased = v._phased(t.numerator, t.denominator)
                 shifted = reps._shifted(v, t.numerator, t.denominator)
                 assert all(type(key) is RationalIndex for key in shifted.amplitudes)
                 assert keyed_bits(phased.amplitudes) == keyed_bits(reference_phased(d, t))
