@@ -109,7 +109,8 @@ def _cmd_gns_build(args) -> int:
     }
     reduced = [gns._reduction(v) for v in vectors]
     if reduced[0] is not None:  # a sharp state
-        out["reductions"] = [[{"shift": str(key), "re": amp.real, "im": amp.imag}
+        out["reductions"] = [[{"shift": serialize._rational_text(key, "shift"),
+                               "re": amp.real, "im": amp.imag}
                               for key, amp in sorted(r.amplitudes.items())] for r in reduced]
     sys.stdout.write(json.dumps(out) + "\n")
     return 0
@@ -143,7 +144,7 @@ def _cmd_mean(args) -> int:
     print(f"exact mean:        {exact.real!r} {exact.imag!r}")
     print(f"truncated average: {approx.real!r} {approx.imag!r}  (N={args.quadrature_n:g})")
     print(f"difference:        {gap:.3e}  (analytic bound {bound:.3e})")
-    if gap > bound:
+    if not gap <= bound:  # a nan gap fails, as in the registry's mean_truncation
         print("cross-check FAILED", file=sys.stderr)
         return 1
     return 0

@@ -198,7 +198,8 @@ def _reduce(v: GnsVector) -> FiniteSupportVector:
 
 
 def _direction(direction: str) -> str:
-    direction = direction.upper()
+    if isinstance(direction, str):
+        direction = direction.upper()
     if direction not in (U_DIRECTION, V_DIRECTION):
         raise ValueError(f"direction must be 'U' or 'V', got {direction!r}")
     return direction
@@ -286,7 +287,9 @@ def eigenvector_witness(
     if broken is None:
         raise ValueError("witness applies to position or momentum states only")
     regular = U_DIRECTION if broken == V_DIRECTION else V_DIRECTION
-    probe_list = [as_fraction(t) for t in (probes if probes else DEFAULT_PROBES)]
+    probe_list = [as_fraction(t) for t in (DEFAULT_PROBES if probes is None else probes)]
+    if not probe_list:
+        raise ValueError("probes must be non-empty")
     kappa = state.parameter
     omega = cyclic_vector(state)
 

@@ -5,11 +5,14 @@ from JSON integers too, never from floats or booleans; complex coefficients
 as pairs of JSON numbers, never booleans or strings, with floats rendered as
 shortest round-trip decimals; a non-finite one is refused.  Records are plain
 dicts/lists, so callers pick the transport (json module, CSV writer) themselves.
+A rational whose numerator or denominator passes the interpreter's limit on
+int strings (``sys.get_int_max_str_digits``) is refused when it is written.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import itemgetter
 from typing import IO, Iterable, Mapping, Optional, Sequence, Tuple
@@ -38,11 +41,30 @@ def _typed(value, types: tuple):
 
 
 def _fraction_from(text) -> Fraction:
-    """A rational field: an exact string or an int; a float or a bool is refused."""
+    """A rational field: an exact string or an int; a float or a bool is refused.
+
+    The error keeps the reason, but for a zero denominator: ``Fraction(1, 0)``
+    only restates the text.
+    """
     try:
         return as_fraction(_typed(text, (str, int)))
-    except _BAD_FIELD as exc:
+    except ZeroDivisionError as exc:
         raise RecordError(f"not an exact rational: {text!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise RecordError(f"not an exact rational: {text!r} ({exc})") from exc
+
+
+def _rational_text(value, what: str) -> str:
+    """``str`` of a rational, refused with a ``ValueError`` that names ``what``,
+    the digit count and the limit where an int of it is too long to write."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        n = max(abs(value.numerator), value.denominator)
+    digits = int(math.log10(n)) + 1  # within one of the count, then made exact
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    raise ValueError(f"cannot write {what}: {digits} digits, past the limit of "
+                     f"{sys.get_int_max_str_digits()} digits for an int string")
 
 
 def _coefficient(record: Mapping) -> complex:
@@ -70,7 +92,8 @@ def _parameter_field(kind) -> Optional[str]:
 def element_to_records(element: WeylElement) -> list[dict]:
     # sorted on the labels alone: they are unique, so no coefficient is compared
     return [
-        {"a": str(a), "b": str(b), "re": c.real, "im": c.imag}
+        {"a": _rational_text(a, "a"), "b": _rational_text(b, "b"),
+         "re": c.real, "im": c.imag}
         for (a, b), c in sorted(element.terms.items(), key=itemgetter(0))
     ]
 
@@ -91,7 +114,7 @@ def state_to_record(state: StateFunctional) -> dict:
     field = _PARAMETER_FIELD[state.kind]
     if field is None:
         return {"kind": state.kind}
-    return {"kind": state.kind, field: str(state.parameter)}
+    return {"kind": state.kind, field: _rational_text(state.parameter, field)}
 
 
 def state_from_record(record: Mapping) -> StateFunctional:
@@ -113,7 +136,8 @@ def parse_state_arg(text: str) -> StateFunctional:
 
 def vector_to_records(vector: FiniteSupportVector) -> list[dict]:
     return [
-        {"point": str(p), "re": c.real, "im": c.imag, "flavor": vector.flavor}
+        {"point": _rational_text(p, "point"), "re": c.real, "im": c.imag,
+         "flavor": vector.flavor}
         for p, c in sorted(vector.amplitudes.items())
     ]
 
@@ -137,7 +161,7 @@ def vector_from_records(records: Sequence[Mapping]) -> FiniteSupportVector:
 
 def trig_to_records(poly: TrigPolynomial) -> list[dict]:
     return [
-        {"freq": str(f), "re": c.real, "im": c.imag}
+        {"freq": _rational_text(f, "freq"), "re": c.real, "im": c.imag}
         for f, c in sorted(poly.coefficients.items())
     ]
 
@@ -153,7 +177,8 @@ def trig_from_records(records: Iterable[Mapping]) -> TrigPolynomial:
 
 
 def scan_to_csv(rows: Sequence[Tuple[Fraction, complex]], stream: IO[str]) -> None:
-    """Write 'parameter,re,im' rows, parameter as an exact rational string."""
-    stream.write("parameter,re,im\n")
-    for parameter, value in rows:
-        stream.write(f"{parameter},{value.real!r},{value.imag!r}\n")
+    """Write 'parameter,re,im' rows, parameter as an exact rational string,
+    in one write: a refused row leaves the stream untouched."""
+    lines = [f"{_rational_text(t, 'parameter')},{value.real!r},{value.imag!r}\n"
+             for t, value in rows]
+    stream.write("parameter,re,im\n" + "".join(lines))

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import RationalLike, Record, WeylElement, WeylIndex, as_fraction, phase_ratio
@@ -62,13 +61,18 @@ class StateFunctional(Record):
 
     _fields = ("kind", "parameter")
 
-    def __init__(self, kind: str, parameter: Optional[Fraction] = None):
+    def __init__(self, kind: str, parameter: Optional[RationalLike] = None):
+        """``parameter`` is coerced by ``as_fraction``: a ``Fraction`` stays the
+        same object, an int, a key or an exact string becomes one, a float is
+        refused with ``TypeError``."""
         if kind not in KINDS:
             raise ValueError(f"unknown state kind: {kind!r}")
         if kind == VACUUM and parameter is not None:
             raise ValueError("the vacuum state takes no parameter")
         if kind != VACUUM and parameter is None:
             raise ValueError(f"{kind} state needs a rational parameter")
+        if parameter is not None:
+            parameter = as_fraction(parameter)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "parameter", parameter)
 
@@ -161,11 +165,11 @@ class StateFunctional(Record):
 
 
 def position_state(lam: RationalLike) -> StateFunctional:
-    return StateFunctional(POSITION, as_fraction(lam))
+    return StateFunctional(POSITION, lam)
 
 
 def momentum_state(mu: RationalLike) -> StateFunctional:
-    return StateFunctional(MOMENTUM, as_fraction(mu))
+    return StateFunctional(MOMENTUM, mu)
 
 
 def vacuum_state() -> StateFunctional:

@@ -147,6 +147,33 @@ def test_eval_state_past_the_decimal_exponent_limit_exits_2(capsys, tmp_path, wh
     assert re.fullmatch(r"error: [^\n]*1e3000000[^\n]*\n", captured.err)
 
 
+@pytest.mark.parametrize("command, records, field, digits", [
+    ("product", [{"a": "1e5000", "b": "0", "re": 1.0, "im": 0.0}], "a", 5001),
+    ("gns-build", [[{"a": "1", "b": "1e5000", "re": 1.0, "im": 0.0}]], "shift", 5001),
+    ("continuity-scan", None, "parameter", 4401),
+], ids=["product", "gns-build", "continuity-scan"])
+def test_a_rational_too_long_to_write_exits_2(capsys, tmp_path, command, records, field,
+                                              digits):
+    # admitted by as_fraction, but its int passes the interpreter's limit on int strings
+    if command == "continuity-scan":
+        argv = [command, "--state", "vacuum", "--direction", "U", "--grid", "1e4400"]
+    else:
+        path = write_json(tmp_path / "x.json", records)
+        argv = [command, path, path] if command == "product" else \
+            [command, "--state", "position:0", path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {field}: {digits} digits, past the limit of "
+                            f"{sys.get_int_max_str_digits()} digits for an int string\n")
+
+
+def test_state_parameter_error_keeps_its_reason(capsys, u1_file):
+    assert main(["eval-state", "--state", "position:1e3000000", u1_file]) == 2
+    assert capsys.readouterr().err == ("error: not an exact rational: '1e3000000' "
+                                       "(decimal exponent past the size limit |e| <= 100000)\n")
+
+
 GOLDEN = Path(__file__).parent / "data" / "cli"
 # ``name|arguments`` lines; the CI's no-numpy step runs the same cases
 GOLDEN_CASES = [line.split("|") for line in (GOLDEN / "cases.txt").read_text().splitlines()]
@@ -235,6 +262,16 @@ def test_mean_cross_check(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "exact mean:        2.0 0.0" in out
     assert "truncated average:" in out
+
+
+def test_mean_fails_its_cross_check_on_a_nan_average(capsys, tmp_path):
+    # three terms at 1e308 + 1e308 i overflow the truncated average to nan
+    poly = write_json(tmp_path / "poly.json",
+                      [{"freq": f, "re": 1e308, "im": 1e308} for f in ("0", "1", "2")])
+    assert main(["mean", poly]) == 1
+    captured = capsys.readouterr()
+    assert "truncated average: nan nan" in captured.out
+    assert captured.err == "cross-check FAILED\n"
 
 
 @pytest.mark.parametrize("freq", ["1/1" + "0" * 400, "1" + "0" * 400], ids=["1e-400", "1e400"])

@@ -216,6 +216,15 @@ def test_continuity_scan_validation():
         continuity_scan(vacuum_state(), "U", [])
 
 
+@pytest.mark.parametrize("direction", [3, None])
+def test_a_direction_that_is_not_a_string_is_refused(direction):
+    state = position_state(1)
+    with pytest.raises(ValueError, match="direction must be 'U' or 'V'"):
+        continuity_scan(state, direction, [1])
+    with pytest.raises(ValueError, match="direction must be 'U' or 'V'"):
+        is_regular_direction(state, direction)
+
+
 def test_regularity_table():
     assert is_regular_direction(position_state(1), "U") is True
     assert is_regular_direction(position_state(1), "V") is False
@@ -257,6 +266,16 @@ def test_eigenvector_witness_makes_one_element_product_per_probe(monkeypatch, st
     assert witness.passed
     assert len(products) == len(DEFAULT_PROBES)
     assert not hasattr(witness, "conjugation_deviation")
+
+
+def test_eigenvector_witness_refuses_an_empty_probe_list():
+    from weylreps import DEFAULT_PROBES
+
+    with pytest.raises(ValueError, match="probes must be non-empty"):
+        eigenvector_witness(position_state(1), probes=[])
+    # only a missing list takes the default
+    assert eigenvector_witness(position_state(1)) == \
+        eigenvector_witness(position_state(1), probes=DEFAULT_PROBES)
 
 
 def test_eigenvector_witness_rejects_vacuum():

@@ -25,7 +25,23 @@ from weylreps import (
     vacuum_state,
     zero,
 )
-from weylreps.algebra import EXACT_TOL
+from weylreps.algebra import EXACT_TOL, RationalIndex
+
+
+@pytest.mark.parametrize("kind", [POSITION, MOMENTUM])
+def test_state_parameter_is_coerced_once_at_construction(kind):
+    exact = Fraction(1, 2)
+    assert StateFunctional(kind, exact).parameter is exact
+    for parameter in ("1/2", RationalIndex(exact)):
+        state = StateFunctional(kind, parameter)
+        assert type(state.parameter) is Fraction
+        assert state == StateFunctional(kind, exact)
+        assert repr(state) == repr(StateFunctional(kind, exact))
+        x = generator(1, 0) + generator(0, 1)  # one term on each axis
+        assert state(x) == StateFunctional(kind, exact)(x)
+    assert StateFunctional(kind, 2).parameter == 2
+    with pytest.raises(TypeError):
+        StateFunctional(kind, 0.5)
 
 
 def test_position_state_values():

@@ -1,10 +1,13 @@
 """The interface of the property registry behind ``weylreps verify``."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from helpers import count_element_products
+from weylreps.cli import main
 from weylreps.gns import DEFAULT_PROBES
 from weylreps.verify import (SUITE_NAMES, CheckResult, conjugation_identity,
                             rand_fraction, run_suites)
@@ -62,6 +65,28 @@ def test_all_runs_every_check_in_order_and_equals_the_single_suites(seed):
     assert [(r.suite, r.name) for r in results] == CHECKS
     assert [r for r in results if not r.passed] == []
     assert results == [r for suite in SUITES for r in run_suites([suite], seed)]
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify"
+# their numbers come from LAPACK, BLAS or numpy quadrature, which can differ
+# across platforms: these lines compare by check name and verdict only
+PLATFORM_LINES = ("[gns] Gram matrices positive semidefinite", "[oracle] ")
+
+
+def name_and_verdict(line: str):
+    if line.startswith(PLATFORM_LINES):
+        return re.match(r"(.*?): (PASS|FAIL) \(", line).groups()
+    return line
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123])
+def test_verify_stdout_matches_its_golden_file(capsys, monkeypatch, seed):
+    monkeypatch.delenv("WEYLREPS_SEED", raising=False)
+    assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (GOLDEN / f"seed-{seed}.out").read_text().splitlines()
+    assert sum(line.startswith(PLATFORM_LINES) for line in want) == 7
+    assert [name_and_verdict(line) for line in got] == [name_and_verdict(line) for line in want]
 
 
 def test_unknown_suite_is_refused():
