@@ -55,7 +55,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     such as ``"3/2"`` or ``"1e-3"``.
 
     A string whose decimal exponent passes 100000 in magnitude is
-    refused with ``ValueError`` before ``Fraction`` builds the power of ten.
+    refused with ``ValueError`` before ``Fraction`` builds the power of ten,
+    and so is a zero denominator (``Fraction`` raises ``ZeroDivisionError``).
     """
     if isinstance(value, Fraction):
         return value
@@ -69,7 +70,10 @@ def as_fraction(value: RationalLike) -> Fraction:
             too_large = False
         if too_large:
             raise ValueError(f"decimal exponent past the size limit |e| <= {_MAX_EXPONENT}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator") from None
     if isinstance(value, (int, RationalIndex)):
         return Fraction(value.numerator, value.denominator)
     raise TypeError(f"not an exact rational: {value!r}")

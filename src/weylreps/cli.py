@@ -62,8 +62,8 @@ def _load_records(path: str, what: str, read):
 
 def _grid_from_arg(text: str) -> list[Fraction]:
     try:
-        grid = [as_fraction(part.strip()) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+        grid = [serialize._fraction_from(part.strip()) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
         raise InputError(f"bad grid entry in {text!r}: {exc}") from exc
     if not grid:
         raise InputError("grid is empty")
@@ -89,16 +89,15 @@ def _cmd_eval_state(args) -> int:
     return 0
 
 
+def _elements(payload: list) -> list:
+    if not payload:
+        raise ValueError("expected a non-empty list of elements")
+    return [serialize.element_from_records(records) for records in payload]
+
+
 def _cmd_gns_build(args) -> int:
     state = serialize.parse_state_arg(args.state)
-    payload = _load_json(args.words)
-    if not isinstance(payload, list) or not payload:
-        raise InputError(f"{args.words}: expected a non-empty list of elements")
-    try:
-        words = [serialize.element_from_records(recs) for recs in payload]
-    except ValueError as exc:  # serialize.RecordError, or a merge past the float range
-        raise InputError(f"{args.words}: {exc}") from exc
-
+    words = _load_records(args.words, "element", _elements)
     omega = gns.cyclic_vector(state)
     vectors = [gns.gns_apply(word, omega) for word in words]
     gram = [[_complex_record(gns.gns_inner(u, v)) for v in vectors] for u in vectors]

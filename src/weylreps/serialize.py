@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from operator import itemgetter
-from typing import IO, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import IO, Mapping, Optional, Sequence, Tuple
 
 from .algebra import WeylElement, WeylIndex, as_fraction
 from .almost_periodic import TrigPolynomial
@@ -26,7 +26,7 @@ from .states import MOMENTUM, POSITION, VACUUM, StateFunctional
 _PARAMETER_FIELD = {POSITION: "lambda", MOMENTUM: "mu", VACUUM: None}
 
 #: what reading a malformed field raises, a number past the float range included
-_BAD_FIELD = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
 
 
 class RecordError(ValueError):
@@ -41,15 +41,9 @@ def _typed(value, types: tuple):
 
 
 def _fraction_from(text) -> Fraction:
-    """A rational field: an exact string or an int; a float or a bool is refused.
-
-    The error keeps the reason, but for a zero denominator: ``Fraction(1, 0)``
-    only restates the text.
-    """
+    """A rational field: an exact string or an int; a float or a bool is refused."""
     try:
         return as_fraction(_typed(text, (str, int)))
-    except ZeroDivisionError as exc:
-        raise RecordError(f"not an exact rational: {text!r}") from exc
     except (TypeError, ValueError) as exc:
         raise RecordError(f"not an exact rational: {text!r} ({exc})") from exc
 
@@ -76,10 +70,19 @@ def _coefficient(record: Mapping) -> complex:
     return value
 
 
-def _mapping(record, what: str) -> Mapping:
-    if not isinstance(record, Mapping):
-        raise RecordError(f"bad {what} record: {record!r}")
-    return record
+def _terms(records: list[Mapping], kind: str, read) -> list:
+    """``read`` of each record in a list of ``kind`` records; a bad record is
+    refused with the reason, a missing field named."""
+    if not isinstance(records, list):
+        raise RecordError(f"expected a list of {kind} records, got {records!r}")
+    terms = []
+    for rec in records:
+        try:
+            terms.append(read(_typed(rec, (Mapping,))))
+        except _BAD_FIELD as exc:
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise RecordError(f"bad {kind} record: {rec!r} ({reason})") from exc
+    return terms
 
 
 def _parameter_field(kind) -> Optional[str]:
@@ -98,16 +101,9 @@ def element_to_records(element: WeylElement) -> list[dict]:
     ]
 
 
-def element_from_records(records: Iterable[Mapping]) -> WeylElement:
-    terms = []
-    for rec in records:
-        try:
-            index = WeylIndex(_fraction_from(rec["a"]), _fraction_from(rec["b"]))
-            coeff = _coefficient(rec)
-        except _BAD_FIELD as exc:
-            raise RecordError(f"bad element record: {rec!r}") from exc
-        terms.append((index, coeff))
-    return WeylElement(terms)
+def element_from_records(records: list[Mapping]) -> WeylElement:
+    return WeylElement(_terms(records, "element", lambda rec: (
+        WeylIndex(_fraction_from(rec["a"]), _fraction_from(rec["b"])), _coefficient(rec))))
 
 
 def state_to_record(state: StateFunctional) -> dict:
@@ -118,7 +114,9 @@ def state_to_record(state: StateFunctional) -> dict:
 
 
 def state_from_record(record: Mapping) -> StateFunctional:
-    kind = _mapping(record, "state").get("kind")
+    if not isinstance(record, Mapping):
+        raise RecordError(f"bad state record: {record!r}")
+    kind = record.get("kind")
     field = _parameter_field(kind)
     return StateFunctional(kind, None if field is None else _fraction_from(record.get(field)))
 
@@ -142,21 +140,17 @@ def vector_to_records(vector: FiniteSupportVector) -> list[dict]:
     ]
 
 
-def vector_from_records(records: Sequence[Mapping]) -> FiniteSupportVector:
-    if not records:
+def vector_from_records(records: list[Mapping]) -> FiniteSupportVector:
+    terms = _terms(records, "vector", lambda rec: (
+        rec.get("flavor"), (_fraction_from(rec["point"]), _coefficient(rec))))
+    if not terms:
         raise RecordError("empty vector record list (flavor undeterminable)")
-    flavor = _mapping(records[0], "vector").get("flavor")
+    flavor = terms[0][0]
     if flavor not in FLAVORS:
         raise RecordError(f"unknown flavor: {flavor!r}")
-    amplitudes = []
-    for rec in records:
-        if _mapping(rec, "vector").get("flavor") != flavor:
-            raise RecordError("mixed flavors in one vector record list")
-        try:
-            amplitudes.append((_fraction_from(rec["point"]), _coefficient(rec)))
-        except _BAD_FIELD as exc:
-            raise RecordError(f"bad vector record: {rec!r}") from exc
-    return FiniteSupportVector(amplitudes, flavor)
+    if any(f != flavor for f, _ in terms):
+        raise RecordError("mixed flavors in one vector record list")
+    return FiniteSupportVector([amplitude for _, amplitude in terms], flavor)
 
 
 def trig_to_records(poly: TrigPolynomial) -> list[dict]:
@@ -166,14 +160,9 @@ def trig_to_records(poly: TrigPolynomial) -> list[dict]:
     ]
 
 
-def trig_from_records(records: Iterable[Mapping]) -> TrigPolynomial:
-    coeffs = []
-    for rec in records:
-        try:
-            coeffs.append((_fraction_from(rec["freq"]), _coefficient(rec)))
-        except _BAD_FIELD as exc:
-            raise RecordError(f"bad polynomial record: {rec!r}") from exc
-    return TrigPolynomial(coeffs)
+def trig_from_records(records: list[Mapping]) -> TrigPolynomial:
+    return TrigPolynomial(_terms(records, "polynomial", lambda rec: (
+        _fraction_from(rec["freq"]), _coefficient(rec))))
 
 
 def scan_to_csv(rows: Sequence[Tuple[Fraction, complex]], stream: IO[str]) -> None:

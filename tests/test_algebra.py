@@ -17,12 +17,19 @@ from weylreps import (
     TrigPolynomial,
     WeylElement,
     WeylIndex,
+    RationalIndex,
     as_fraction,
+    basis_vector,
+    continuity_scan,
     generator,
     identity,
     phase,
+    position_state,
+    trig_generator,
+    vacuum_state,
     zero,
 )
+from weylreps.reps import weyl_relation_check
 from weylreps.serialize import element_from_records
 
 
@@ -164,6 +171,25 @@ def test_as_fraction_admits_decimal_exponents_up_to_the_size_limit():
     assert as_fraction("1e100000") == 10**100000
     assert as_fraction(" -3.5e-100000 ") == Fraction(-35, 10**100001)
     assert as_fraction("2E+0") == 2
+
+
+ZERO_DENOMINATOR = {
+    "generator": lambda: generator("1/0", 0),
+    "position_state": lambda: position_state("1/0"),
+    "basis_vector": lambda: basis_vector("-3/0"),
+    "trig_generator": lambda: trig_generator("0/0"),
+    "RationalIndex": lambda: RationalIndex("1/0"),
+    "continuity_scan": lambda: continuity_scan(vacuum_state(), "U", [0, "1/0"]),
+    "weyl_relation_check": lambda: weyl_relation_check(1, "1/0", 0),
+}
+
+
+@pytest.mark.parametrize("call", ZERO_DENOMINATOR.values(), ids=ZERO_DENOMINATOR.keys())
+def test_a_zero_denominator_is_a_value_error_at_every_entry_point(call):
+    # Fraction raises ZeroDivisionError("Fraction(1, 0)"); as_fraction, the one
+    # reader of rational text, refuses it as a value
+    with pytest.raises(ValueError, match="^zero denominator$"):
+        call()
 
 
 @given(fractions_st, fractions_st)

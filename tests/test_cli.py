@@ -74,7 +74,7 @@ def test_eval_state_unknown_kind_exits_2(capsys, u1_file):
 @pytest.mark.parametrize("spec, line", [
     ("thermal", "error: unknown state kind: 'thermal'"),
     ("vacuum:1", "error: the vacuum state takes no parameter"),
-    ("position:1/0", "error: not an exact rational: '1/0'"),
+    ("position:1/0", "error: not an exact rational: '1/0' (zero denominator)"),
 ])
 @pytest.mark.parametrize("command", ["eval-state", "gns-build", "continuity-scan"])
 def test_bad_state_argument_prints_one_error_line_and_exits_2(capsys, u1_file, spec, line,
@@ -185,6 +185,18 @@ def test_cli_stdout_is_byte_identical_to_its_golden_file(capsys, monkeypatch, na
     monkeypatch.chdir(GOLDEN)
     assert main(args.split()) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+# ``name|arguments|error line``: malformed requests; the CI's no-numpy step runs them too
+ERROR_CASES = [line.split("|", 2) for line in (GOLDEN / "errors.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name, args, line", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
+def test_cli_error_line_is_its_golden_line(capsys, monkeypatch, name, args, line):
+    monkeypatch.chdir(GOLDEN)
+    assert main(args.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
 
 
 def test_continuity_scan_position(capsys):

@@ -242,3 +242,34 @@ def test_vector_record_mistyped_coefficient_raises_record_error(coefficient):
 def test_trig_record_mistyped_coefficient_raises_record_error(coefficient):
     with pytest.raises(RecordError, match="bad polynomial record"):
         trig_from_records([{"freq": "1", **coefficient}])
+
+
+@pytest.mark.parametrize("read, records, kind", [
+    (element_from_records, 7, "element"),
+    (element_from_records, {"a": "1", "b": "0", "re": 1.0, "im": 0.0}, "element"),
+    (vector_from_records, {"x": 1}, "vector"),
+    (trig_from_records, 7, "polynomial"),
+    (trig_from_records, None, "polynomial"),
+], ids=["element-int", "element-record", "vector-dict", "trig-int", "trig-none"])
+def test_a_non_list_of_term_records_raises_record_error(read, records, kind):
+    # vector_from_records({"x": 1}) raised KeyError and trig_from_records(7) TypeError
+    with pytest.raises(RecordError, match=f"^expected a list of {kind} records, got "):
+        read(records)
+
+
+@pytest.mark.parametrize("read, record, message", [
+    (element_from_records, {"a": "1e3000000", "b": "0", "re": 1.0, "im": 0.0},
+     "bad element record: {'a': '1e3000000', 'b': '0', 're': 1.0, 'im': 0.0} "
+     "(not an exact rational: '1e3000000' "
+     "(decimal exponent past the size limit |e| <= 100000))"),
+    (vector_from_records, {"point": "1/0", "re": 1.0, "im": 0.0, "flavor": "position"},
+     "bad vector record: {'point': '1/0', 're': 1.0, 'im': 0.0, 'flavor': 'position'} "
+     "(not an exact rational: '1/0' (zero denominator))"),
+    (trig_from_records, {"a": "1", "re": 1.0, "im": 0.0},
+     "bad polynomial record: {'a': '1', 're': 1.0, 'im': 0.0} (missing field 'freq')"),
+    (trig_from_records, [1], "bad polynomial record: [1] (a list is refused here)"),
+], ids=["element-exponent", "vector-zero-denominator", "trig-missing-field", "trig-list"])
+def test_a_bad_term_record_keeps_its_reason(read, record, message):
+    with pytest.raises(RecordError) as info:
+        read([record])
+    assert str(info.value) == message
