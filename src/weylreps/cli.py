@@ -2,9 +2,11 @@
 
 Subcommands: ``product``, ``eval-state``, ``gns-build``, ``continuity-scan``,
 ``mean``, ``verify``.  Exit codes: 0 all checks pass, 1 a property check
-failed, 2 usage or parse error.  The environment variable ``WEYLREPS_SEED``
-overrides ``--seed`` wherever randomness is involved, and the effective seed
-is always printed so failures reproduce exactly.
+failed, 2 usage or parse error.  Every refusal of input is a ``ValueError``
+(``serialize.RecordError`` included), which ``main`` prints as one
+``error:`` line.  The environment variable ``WEYLREPS_SEED`` overrides
+``--seed`` wherever randomness is involved, and the effective seed is always
+printed so failures reproduce exactly.
 
 Each request is a fresh process, so all it loads before computing is paid
 on every request.  Only ``verify`` computes with numpy, through the grid
@@ -31,43 +33,28 @@ from .algebra import as_float, as_fraction
 SUITE_NAMES = ("algebra", "reps", "gns", "ap", "oracle", "all")
 
 
-class InputError(Exception):
-    """User-facing input problem; maps to exit code 2."""
-
-
-def _load_json(path: str):
+def _load_records(path: str, read):
+    """``read`` applied to the JSON value in a file; each refusal names the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            records = json.load(handle)
+        return read(records)
     except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise ValueError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-
-
-def _load_records(path: str, what: str, read):
-    """``read`` applied to the list of ``what`` records in a JSON file."""
-    records = _load_json(path)
-    if not isinstance(records, list):
-        raise InputError(f"{path}: expected a list of {what} records")
-    try:
-        return read(records)
-    except ValueError as exc:  # serialize.RecordError, or a value the command refuses
-        raise InputError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, serialize.RecordError, or a value the command refuses
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _grid_from_arg(text: str) -> list[Fraction]:
+    """The entries of ``--grid``; ``gns.continuity_scan`` refuses an empty grid."""
     try:
-        grid = [serialize._fraction_from(part.strip()) for part in text.split(",") if part.strip()]
+        return [serialize._fraction_from(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise InputError(f"bad grid entry in {text!r}: {exc}") from exc
-    if not grid:
-        raise InputError("grid is empty")
-    return grid
+        raise ValueError(f"bad grid entry in {text!r}: {exc}") from exc
 
 
 def _complex_record(value: complex) -> dict:
@@ -75,29 +62,30 @@ def _complex_record(value: complex) -> dict:
 
 
 def _cmd_product(args) -> int:
-    left = _load_records(args.left, "term", serialize.element_from_records)
-    right = _load_records(args.right, "term", serialize.element_from_records)
+    left = _load_records(args.left, serialize.element_from_records)
+    right = _load_records(args.right, serialize.element_from_records)
     sys.stdout.write(json.dumps(serialize.element_to_records(left * right)) + "\n")
     return 0
 
 
 def _cmd_eval_state(args) -> int:
     state = serialize.parse_state_arg(args.state)
-    element = _load_records(args.element, "term", serialize.element_from_records)
+    element = _load_records(args.element, serialize.element_from_records)
     value = state(element)
     sys.stdout.write(json.dumps(_complex_record(value)) + "\n")
     return 0
 
 
-def _elements(payload: list) -> list:
-    if not payload:
-        raise ValueError("expected a non-empty list of elements")
+def _elements(payload) -> list:
+    """The words of a ``gns-build`` file: a non-empty list of elements."""
+    if not isinstance(payload, list) or not payload:
+        raise ValueError(f"expected a non-empty list of elements, got {payload!r}")
     return [serialize.element_from_records(records) for records in payload]
 
 
 def _cmd_gns_build(args) -> int:
     state = serialize.parse_state_arg(args.state)
-    words = _load_records(args.words, "element", _elements)
+    words = _load_records(args.words, _elements)
     omega = gns.cyclic_vector(state)
     vectors = [gns.gns_apply(word, omega) for word in words]
     gram = [[_complex_record(gns.gns_inner(u, v)) for v in vectors] for u in vectors]
@@ -134,7 +122,7 @@ def _oracle_polynomial(records):
 
 
 def _cmd_mean(args) -> int:
-    poly = _load_records(args.polynomial, "coefficient", _oracle_polynomial)
+    poly = _load_records(args.polynomial, _oracle_polynomial)
 
     exact = poly.invariant_mean()
     approx = schrodinger.mean_quadrature(poly, args.quadrature_n)
@@ -158,7 +146,7 @@ def _cmd_verify(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError as exc:
-            raise InputError(f"WEYLREPS_SEED must be an integer, got {env_seed!r}") from exc
+            raise ValueError(f"WEYLREPS_SEED must be an integer, got {env_seed!r}") from exc
     print(f"seed {seed}")
     results = run_suites([args.suite], seed)
     failed = 0
@@ -215,12 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid_joined(argv: list[str]) -> list[str]:
+    """Each ``--grid VALUE`` as one word ``--grid=VALUE``: argparse takes a word
+    such as ``-1/2,0`` for an option, not for the value before it."""
+    words = list(argv)
+    for i in range(len(words) - 2, -1, -1):
+        if words[i] == "--grid":
+            words[i:i + 2] = ["--grid=" + words[i + 1]]
+    return words
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_grid_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (InputError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,8 @@ the sharp position and momentum states the null-space structure is fully
 known, so those vectors also admit an exact canonical reduction onto the
 finitely-supported point model (a ``FiniteSupportVector`` whose
 ``RationalIndex`` keys are built from the points' integers), and the two
-inner products agree to coefficient roundoff.
+inner products agree to coefficient roundoff.  Over the vacuum, whose GNS
+map is injective, the word is the canonical form, so :func:`is_null` is exact.
 
 The module also packages the two executable obstruction facts:
 
@@ -142,16 +143,16 @@ def gns_apply(x: WeylElement, v: GnsVector) -> GnsVector:
 
 
 def is_null(v: GnsVector) -> bool:
-    """Null-vector test.
+    """Null-vector test: ``v`` is null exactly when its canonical form is empty.
 
-    For the vacuum the squared norm must fall below ``EXACT_TOL``.  For sharp
-    position/momentum states the canonical reduction is exact (unit phases
-    cancel bit-for-bit on equal keys), so nullity means an empty reduction.
+    Over a sharp state the canonical form is the exact reduction (unit phases
+    cancel bit-for-bit on equal keys).  Over the vacuum it is the word itself:
+    the vacuum's GNS map is injective, as the W(z) Omega are coherent states,
+    and coherent states with distinct labels are linearly independent (under
+    the Bargmann transform they are distinct exponentials e^{conj(alpha) z}).
     """
     reduced = _reduction(v)
-    if reduced is None:
-        return gns_inner(v, v).real < EXACT_TOL
-    return not reduced
+    return not (v.word if reduced is None else reduced)
 
 
 def _reduction(v: GnsVector) -> Optional[FiniteSupportVector]:

@@ -335,8 +335,6 @@ def check_positivity(state: StateFunctional, basis: Sequence[WeylElement]) -> fl
     iteration is never reported as a negative eigenvalue.
     """
     basis = list(basis)
-    if not basis:
-        raise ValueError("basis must be non-empty")
     if len(basis) > 64:
         raise ValueError("basis too large (limit 64)")
     return least_eigenvalue(gram_matrix(state, basis))

@@ -199,6 +199,17 @@ def test_cli_error_line_is_its_golden_line(capsys, monkeypatch, name, args, line
     assert (captured.out, captured.err) == ("", line + "\n")
 
 
+@pytest.mark.parametrize("grid", ["-1/2,0", "-1,0"])
+def test_a_grid_that_starts_negative_reads_in_either_form(capsys, grid):
+    # argparse takes a separate word such as -1/2,0 for an option; main joins it
+    scan = ["continuity-scan", "--state", "vacuum", "--direction", "U"]
+    assert main(scan + ["--grid=" + grid]) == 0
+    joined = capsys.readouterr()
+    assert main(scan + ["--grid", grid]) == 0
+    assert capsys.readouterr() == joined
+    assert joined.out.startswith("parameter,re,im\n" + grid.split(",")[0] + ",")
+
+
 def test_continuity_scan_position(capsys):
     assert (
         main(

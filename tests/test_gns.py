@@ -8,10 +8,13 @@ import pytest
 
 from helpers import count_element_products, rand_coeff, rand_element, rand_fraction
 from weylreps import (
+    MOMENTUM,
     FiniteSupportVector,
     WeylElement,
     WeylIndex,
     OwnerMismatchError,
+    apply_element,
+    basis_vector,
     continuity_scan,
     cyclic_vector,
     eigenvector_witness,
@@ -22,6 +25,7 @@ from weylreps import (
     gns_inner,
     gns_norm,
     identity,
+    inner,
     is_null,
     is_regular_direction,
     momentum_state,
@@ -31,7 +35,9 @@ from weylreps import (
     reduce_position,
     regularity_fingerprint,
     vacuum_state,
+    zero,
 )
+from weylreps.algebra import EXACT_TOL
 
 ALL_STATES = (position_state(1), momentum_state(Fraction(-2)), vacuum_state())
 
@@ -298,6 +304,21 @@ def test_equivalence_check_random_words():
     assert equivalence_check(lam, words) < 1e-12
 
 
+def test_momentum_word_geometry_matches_the_point_model():
+    # the mirror of equivalence_check, which builds position states only
+    rng = random.Random(43)
+    for _ in range(5):
+        mu = rand_fraction(rng)
+        omega = cyclic_vector(momentum_state(mu))
+        phi = basis_vector(mu, MOMENTUM)
+        words = [rand_element(rng) for _ in range(20)]
+        gns_side = [gns_apply(w, omega) for w in words]
+        model_side = [apply_element(w, phi) for w in words]
+        for i, j in itertools.product(range(len(words)), repeat=2):
+            gap = abs(gns_inner(gns_side[i], gns_side[j]) - inner(model_side[i], model_side[j]))
+            assert gap <= EXACT_TOL
+
+
 def test_equivalence_check_needs_words():
     with pytest.raises(ValueError):
         equivalence_check(0, [])
@@ -409,6 +430,36 @@ def test_is_null_calls_the_module_reducers(reducer_calls):
     assert not is_null(cyclic_vector(momentum_state(-2)))
     assert not is_null(cyclic_vector(vacuum_state()))
     assert reducer_calls == {"reduce_position": 1, "reduce_momentum": 1}
+
+
+def test_is_null_over_the_vacuum_is_exact():
+    # the vacuum's GNS map is injective: a word is null exactly when it is 0,
+    # however small its norm (1e-14, or about 7e-13 at epsilon = 1e-12)
+    omega = cyclic_vector(vacuum_state())
+    for k in range(1, 15):
+        assert not is_null(10.0**-k * omega)
+    for k in range(3, 13):
+        near = gns_apply(identity() - generator(Fraction(1, 10**k), 0), omega)
+        assert not is_null(near)
+    assert is_null(omega - omega)
+    assert is_null(gns_apply(zero(), omega))
+
+
+def test_is_null_reads_no_tolerance_and_no_inner_product(monkeypatch):
+    from weylreps import gns
+
+    def no_inner(u, v):
+        raise AssertionError("is_null summed an inner product")
+
+    monkeypatch.setattr(gns, "EXACT_TOL", 1e300)
+    monkeypatch.setattr(gns, "gns_inner", no_inner)
+    eigen_gap = generator(1, 0) - phase(1) * identity()
+    for state in ALL_STATES:
+        omega = cyclic_vector(state)
+        assert not is_null(omega)
+        assert is_null(omega - omega)
+    assert is_null(gns_apply(eigen_gap, cyclic_vector(position_state(1))))
+    assert not is_null(gns_apply(eigen_gap, cyclic_vector(vacuum_state())))
 
 
 def test_eigenvector_witness_calls_the_module_reducers(reducer_calls):

@@ -27,6 +27,13 @@ from weylreps import (
 )
 
 
+def test_an_unknown_flavor_is_refused():
+    with pytest.raises(ValueError) as refused:
+        FiniteSupportVector({}, "bogus")
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "unknown flavor: 'bogus'"
+
+
 def test_basis_vectors_orthonormal():
     assert inner(basis_vector(1), basis_vector(2)) == 0
     assert inner(basis_vector(Fraction(3, 2)), basis_vector(Fraction(3, 2))) == 1

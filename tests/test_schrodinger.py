@@ -9,6 +9,7 @@ import pytest
 
 from helpers import rand_coeff, rand_fraction
 from weylreps import (
+    GridWavefunction,
     TrigPolynomial,
     characteristic_function,
     constant,
@@ -91,6 +92,13 @@ def test_dispersion_exceeds_half_on_superposition():
     bump = superpose(gaussian_packet(center=-1.0), gaussian_packet(center=1.0))
     assert dispersion_product(bump) >= 0.5 - 1e-3
     assert dispersion_product(bump) > 0.52
+
+
+def test_superpose_refuses_a_sum_of_norm_zero(psi0):
+    with pytest.raises(ValueError) as refused:
+        superpose(psi0, GridWavefunction(psi0.x, -psi0.psi))
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "cannot normalise a function of norm 0.0"
 
 
 def test_superpose_requires_matching_grids():

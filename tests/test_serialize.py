@@ -90,6 +90,13 @@ def test_vector_round_trip():
     assert vector_from_records(records) == vector
 
 
+def test_vector_records_reject_an_unknown_flavor():
+    with pytest.raises(RecordError) as refused:
+        vector_from_records([{"point": "1/2", "re": 1.0, "im": 0.0, "flavor": "bogus"}])
+    assert type(refused.value) is RecordError
+    assert str(refused.value) == "unknown flavor: 'bogus'"
+
+
 def test_vector_records_reject_mixed_flavors():
     records = vector_to_records(basis_vector(0)) + vector_to_records(
         basis_vector(0, MOMENTUM)

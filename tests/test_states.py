@@ -388,10 +388,19 @@ def test_check_positivity_random_bases():
 
 
 def test_check_positivity_input_validation():
-    with pytest.raises(ValueError):
-        check_positivity(vacuum_state(), [])
-    with pytest.raises(ValueError):
+    # the empty basis is refused once, by gram_matrix, for either entry point
+    for refuse in (gram_matrix, check_positivity):
+        with pytest.raises(ValueError, match="^basis must be non-empty$"):
+            refuse(vacuum_state(), [])
+    with pytest.raises(ValueError, match=r"^basis too large \(limit 64\)$"):
         check_positivity(vacuum_state(), [identity()] * 65)
+
+
+def test_the_vacuum_has_no_point_model():
+    with pytest.raises(ValueError) as refused:
+        vacuum_state()._point(0, 0, 1)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "the vacuum has no point model"
 
 
 def test_vacuum_matches_quadrature_oracle():
