@@ -8,24 +8,16 @@ mean is literally the coefficient at frequency 0 - which makes translation
 invariance and positivity of the mean exact statements rather than limits.
 The operations compute on the keys' integers, every phase one
 ``phase_ratio`` on the unreduced angle.
-
-The same frequency-0 functional returns as ``haar_fourier``: the Fourier
-coefficients of the normalised invariant measure on the character
-compactification of the line.  :func:`momentum_fourier_witness` checks that
-the translation family's diagonal matrix elements in a sharp-position basis
-vector reproduce exactly those coefficients; all spectral weight of the
-momentum data then sits at infinity, which is the computable face of "no
-real momentum value coexists with a point position".
+``verify.momentum_fourier`` checks that the mean of ``trig_generator(a)`` is ``<phi, V_a phi>``.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
-from .algebra import (RationalIndex, RationalLike, Record, SparseMap, _rational,
-                      _rational_sum, as_float, as_fraction, phase_ratio)
-from .reps import v_direction_matrix_element
+from .algebra import (RationalIndex, RationalLike, SparseMap, _rational, _rational_sum,
+                      as_float, phase_ratio)
 
 _ZERO = _rational(0, 1)
 
@@ -125,39 +117,3 @@ def trig_generator(a: RationalLike) -> TrigPolynomial:
 def constant(c) -> TrigPolynomial:
     return TrigPolynomial({_ZERO: c})
 
-
-def haar_fourier(a: RationalLike) -> complex:
-    """Fourier coefficient of the invariant measure, the mean of u_a: 1 at a = 0, else 0."""
-    return trig_generator(a).invariant_mean()
-
-
-class FourierWitness(Record):
-    """Per-probe comparison of momentum spectral data with the mean's;
-    ``rows`` holds (probe, measured, mean) triples."""
-
-    _fields = ("point", "rows")
-
-    @property
-    def passed(self) -> bool:
-        return all(measured == expected for _, measured, expected in self.rows)
-
-
-def momentum_fourier_witness(
-    lam: RationalLike, probes: Sequence[RationalLike]
-) -> FourierWitness:
-    """Fourier data of the translation family in a sharp-position vector.
-
-    For each probe ``a`` the diagonal element ``<phi_lam, V_a phi_lam>`` is
-    computed in the point model and compared, exactly, against
-    :func:`haar_fourier`.  Agreement means the induced spectral measure has
-    the Fourier coefficients of the invariant measure, whose entire weight
-    lies off the real line.
-    """
-    probes = [as_fraction(a) for a in probes]
-    if not probes:
-        raise ValueError("probes must be non-empty")
-    lam = as_fraction(lam)
-    rows = tuple(
-        (a, v_direction_matrix_element(a, lam), haar_fourier(a)) for a in probes
-    )
-    return FourierWitness(point=lam, rows=rows)

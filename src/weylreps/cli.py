@@ -45,6 +45,8 @@ def _load_records(path: str, read):
         raise ValueError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # nested past the recursion limit: json.load, or a repr
+        raise ValueError(f"{path}: nested too deeply to read") from exc
     except ValueError as exc:  # not UTF-8, serialize.RecordError, or a value the command refuses
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -10,11 +10,10 @@ from helpers import fractions_st, rand_coeff, rand_fraction, rand_trig
 from weylreps import (
     TrigPolynomial,
     constant,
-    haar_fourier,
     mean_quadrature,
-    momentum_fourier_witness,
     trig_generator,
     truncation_bound,
+    v_direction_matrix_element,
 )
 from weylreps.verify import AVERAGE_N, EXACT_TOL, NORM_TOL
 
@@ -216,9 +215,10 @@ def test_sup_norm_bounds_past_the_float_range():
 
 
 def test_haar_fourier_coefficients():
-    assert haar_fourier(0) == 1
-    assert haar_fourier(1) == 0
-    assert haar_fourier(Fraction(-7, 3)) == 0
+    # the Fourier coefficients of the invariant measure: the mean of each character
+    assert trig_generator(0).invariant_mean() == 1
+    assert trig_generator(1).invariant_mean() == 0
+    assert trig_generator(Fraction(-7, 3)).invariant_mean() == 0
 
 
 def test_mean_vs_quadrature_within_analytic_bound():
@@ -229,26 +229,25 @@ def test_mean_vs_quadrature_within_analytic_bound():
         assert abs(approx - f.invariant_mean()) <= truncation_bound(f, AVERAGE_N)
 
 
+def _momentum_data_is_the_mean(lam, probes):
+    """<phi_lam, V_a phi_lam> equals the mean of the character u_a, exactly, at each probe."""
+    return all(v_direction_matrix_element(a, lam) == trig_generator(a).invariant_mean()
+               for a in probes)
+
+
 def test_fourier_witness_trivial_probe():
-    witness = momentum_fourier_witness(0, [Fraction(0)])
-    assert witness.rows[0][1] == 1
-    assert witness.passed
+    assert v_direction_matrix_element(Fraction(0), 0) == 1
+    assert _momentum_data_is_the_mean(0, [Fraction(0)])
 
 
 def test_fourier_witness_matches_haar():
-    witness = momentum_fourier_witness(0, [Fraction(1), Fraction(1, 2), Fraction(-3)])
-    assert all(measured == 0 for _, measured, _ in witness.rows)
-    assert witness.passed
+    probes = [Fraction(1), Fraction(1, 2), Fraction(-3)]
+    assert all(v_direction_matrix_element(a, 0) == 0 for a in probes)
+    assert _momentum_data_is_the_mean(0, probes)
 
 
 def test_fourier_witness_random_sweep():
     rng = random.Random(61)
     probes = [rand_fraction(rng, nonzero=True) for _ in range(50)]
-    witness = momentum_fourier_witness(Fraction(5, 2), probes)
-    assert witness.passed
-    assert all(measured == 0 for _, measured, _ in witness.rows)
-
-
-def test_fourier_witness_needs_probes():
-    with pytest.raises(ValueError):
-        momentum_fourier_witness(0, [])
+    assert _momentum_data_is_the_mean(Fraction(5, 2), probes)
+    assert all(v_direction_matrix_element(a, Fraction(5, 2)) == 0 for a in probes)

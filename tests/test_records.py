@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from weylreps.algebra import generator
-from weylreps.almost_periodic import FourierWitness
 from weylreps.gns import EigenvectorWitness, GnsVector, eigenvector_witness
 from weylreps.schrodinger import GridWavefunction
 from weylreps.states import StateFunctional, position_state, vacuum_state
@@ -30,8 +29,6 @@ RECORDS = [
      "EigenvectorWitness(state=StateFunctional(position, 3/2), eigen_deviation=0.0, "
      "gram_residual=1e-17, chain_deviation=0.0, "
      "broken_elements=((Fraction(0, 1), (1+0j)), (Fraction(1, 8), 0j)))"),
-    (FourierWitness, (Fraction(1, 2), ((Fraction(1), 0j, 0j),)),
-     "FourierWitness(point=Fraction(1, 2), rows=((Fraction(1, 1), 0j, 0j),))"),
     (CheckResult, ("algebra", "x", True, "max deviation 0.00e+00"),
      "CheckResult(suite='algebra', name='x', passed=True, detail='max deviation 0.00e+00')"),
 ]
@@ -40,7 +37,6 @@ FIELDS = {
     GnsVector: ("word", "owner"),
     EigenvectorWitness: ("state", "eigen_deviation", "gram_residual", "chain_deviation",
                          "broken_elements"),
-    FourierWitness: ("point", "rows"),
     CheckResult: ("suite", "name", "passed", "detail"),
 }
 
@@ -77,7 +73,7 @@ def test_records_equal_only_within_their_class():
     vector = GnsVector(word, POSITION)
     assert vector != GnsVector(word, vacuum_state())
     assert vector != GnsVector(word * 2, POSITION)
-    assert FourierWitness(Fraction(1), ()) != GnsVector(Fraction(1), ())
+    assert GridWavefunction(Fraction(1), ()) != GnsVector(Fraction(1), ())
     assert CheckResult("a", "b", True, "d") != ("a", "b", True, "d")
 
 
@@ -122,8 +118,8 @@ def test_grid_wavefunction_compares_and_hashes_its_arrays():
         del wave.psi
 
 
-@pytest.mark.parametrize("cls", [EigenvectorWitness, FourierWitness, GridWavefunction,
-                                 CheckResult], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [EigenvectorWitness, GridWavefunction, CheckResult],
+                         ids=lambda cls: cls.__name__)
 def test_record_constructor_refuses_a_missing_extra_or_unknown_field(cls):
     names = cls._fields
     values = tuple(range(len(names)))

@@ -7,10 +7,14 @@ from pathlib import Path
 import pytest
 
 from helpers import count_element_products
+from weylreps import reps
+from weylreps.algebra import RationalIndex
+from weylreps.almost_periodic import TrigPolynomial
 from weylreps.cli import main
 from weylreps.gns import DEFAULT_PROBES
 from weylreps.verify import (SUITE_NAMES, CheckResult, conjugation_identity,
-                            rand_fraction, run_suites)
+                            mean_kills_characters, momentum_fourier, rand_fraction,
+                            run_suites)
 
 SUITES = ("algebra", "reps", "gns", "ap", "oracle")
 
@@ -108,3 +112,30 @@ def test_conjugation_identity_draws_only_its_random_pairs():
     for _ in range(3):
         rand_fraction(fresh), rand_fraction(fresh)
     assert rng.getstate() == fresh.getstate()
+
+
+def test_momentum_fourier_fails_on_one_wrong_matrix_element(monkeypatch):
+    # the last nonzero shift of the last point, drawn as momentum_fourier draws it
+    fresh = random.Random(3)
+    for _ in range(5):
+        lam = rand_fraction(fresh)
+        shifts = [rand_fraction(fresh, nonzero=True) for _ in range(49)]
+    assert momentum_fourier(random.Random(3), points=5, probes=50).passed
+    original = reps.v_direction_matrix_element
+
+    def wrong(b, point):
+        return 1 + 0j if (b, point) == (shifts[-1], lam) else original(b, point)
+
+    monkeypatch.setattr(reps, "v_direction_matrix_element", wrong)
+    assert not momentum_fourier(random.Random(3), points=5, probes=50).passed
+
+
+@pytest.mark.parametrize("mean", [
+    lambda self: sum(self._data.values(), 0j),  # every frequency: the value at 0
+    lambda self: self._data.get(RationalIndex(1), 0j),  # frequency 1 for frequency 0
+], ids=["every-frequency", "frequency-1"])
+def test_mean_kills_characters_fails_when_the_mean_reads_a_nonzero_frequency(monkeypatch,
+                                                                           mean):
+    assert mean_kills_characters(random.Random(3), chars=50).passed
+    monkeypatch.setattr(TrigPolynomial, "invariant_mean", mean)
+    assert not mean_kills_characters(random.Random(3), chars=50).passed
