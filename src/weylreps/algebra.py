@@ -34,9 +34,10 @@ import cmath
 import functools
 import math
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, "RationalIndex", int, str]
 

@@ -45,7 +45,7 @@ def _load_records(path: str, read):
         raise ValueError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except RecursionError as exc:  # nested past the recursion limit: json.load, or a repr
+    except RecursionError as exc:  # nested past the recursion limit of json.load
         raise ValueError(f"{path}: nested too deeply to read") from exc
     except ValueError as exc:  # not UTF-8, serialize.RecordError, or a value the command refuses
         raise ValueError(f"{path}: {exc}") from exc
@@ -56,7 +56,7 @@ def _grid_from_arg(text: str) -> list[Fraction]:
     try:
         return [serialize._fraction_from(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad grid entry in {text!r}: {exc}") from exc
+        raise ValueError(f"bad grid entry in {serialize._shown(text)}: {exc}") from exc
 
 
 def _complex_record(value: complex) -> dict:
@@ -81,7 +81,7 @@ def _cmd_eval_state(args) -> int:
 def _elements(payload) -> list:
     """The words of a ``gns-build`` file: a non-empty list of elements."""
     if not isinstance(payload, list) or not payload:
-        raise ValueError(f"expected a non-empty list of elements, got {payload!r}")
+        raise ValueError(f"expected a non-empty list of elements, got {serialize._shown(payload)}")
     return [serialize.element_from_records(records) for records in payload]
 
 

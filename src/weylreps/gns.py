@@ -32,6 +32,7 @@ from typing import Optional, Sequence, Tuple
 
 from .algebra import (
     EXACT_TOL,
+    RationalIndex,
     RationalLike,
     Record,
     WeylElement,
@@ -40,6 +41,7 @@ from .algebra import (
     generator,
     identity,
     phase,
+    phase_ratio,
 )
 from .reps import (
     MOMENTUM,
@@ -315,15 +317,16 @@ def eigenvector_witness(
     )
 
 
-def _chain_gap(phi: FiniteSupportVector, s: Fraction, t: Fraction) -> float:
+def _chain_gap(phi: FiniteSupportVector, s: RationalLike, t: RationalLike) -> float:
     """|<phi, P_-s T_t P_s phi> - exp(ist) <phi, T_t phi>| in phi's flavor.
 
     P is the flavor's phase family and T its translating family: U and V in
     the position flavor, V and U in the momentum flavor.
     """
+    s, t = RationalIndex(s), RationalIndex(t)
     phased, translate = (apply_U, apply_V) if phi.flavor == POSITION else (apply_V, apply_U)
     lhs = inner(phi, phased(-s, translate(t, phased(s, phi))))
-    return abs(lhs - phase(s * t) * inner(phi, translate(t, phi)))
+    return abs(lhs - phase_ratio(s._p * t._p, s._q * t._q) * inner(phi, translate(t, phi)))
 
 
 def equivalence_check(lam: RationalLike, words: Sequence[WeylElement]) -> float:

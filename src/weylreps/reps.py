@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .algebra import (RationalIndex, RationalLike, SparseMap, WeylElement,
-                      _rational_sum, as_float, as_fraction, phase)
+                      _rational_sum, as_float, as_fraction, phase_ratio)
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -193,11 +193,11 @@ def weyl_relation_check(
     a: RationalLike, b: RationalLike, point: RationalLike, flavor: str = POSITION
 ) -> float:
     """Max amplitude deviation of U_a V_b phi - exp(-iab) V_b U_a phi."""
-    a = as_fraction(a)
-    b = as_fraction(b)
+    a = RationalIndex(a)
+    b = RationalIndex(b)
     phi = basis_vector(point, flavor)
     lhs = apply_U(a, apply_V(b, phi))
-    rhs = phase(-a * b) * apply_V(b, apply_U(a, phi))
+    rhs = phase_ratio(-a._p * b._p, a._q * b._q) * apply_V(b, apply_U(a, phi))
     return (lhs - rhs).max_amplitude()
 
 

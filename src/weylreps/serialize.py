@@ -28,9 +28,29 @@ _PARAMETER_FIELD = {POSITION: "lambda", MOMENTUM: "mu", VACUUM: None}
 #: what reading a malformed field raises, a number past the float range included
 _BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
 
+#: the most characters of a refused value, or of a reason, that a message shows
+_SHOWN_CHARS = 100
+
 
 class RecordError(ValueError):
     """Malformed record data (bad rational string, missing field...)."""
+
+
+def _capped(text: str) -> str:
+    """``text`` cut to ``_SHOWN_CHARS`` characters, and the count of the rest."""
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text) - _SHOWN_CHARS} more characters)"
+
+
+def _shown(value) -> str:
+    """The refused ``value`` as an error message shows it: its ``repr``, capped,
+    so that the one error line does not grow with the input.  A value nested
+    too deeply for ``repr`` is named by its type."""
+    try:
+        return _capped(repr(value))
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to show"
 
 
 def _typed(value, types: tuple):
@@ -45,7 +65,7 @@ def _fraction_from(text) -> Fraction:
     try:
         return as_fraction(_typed(text, (str, int)))
     except (TypeError, ValueError) as exc:
-        raise RecordError(f"not an exact rational: {text!r} ({exc})") from exc
+        raise RecordError(f"not an exact rational: {_shown(text)} ({_capped(str(exc))})") from exc
 
 
 def _rational_text(value, what: str) -> str:
@@ -74,14 +94,14 @@ def _terms(records: list[Mapping], kind: str, read) -> list:
     """``read`` of each record in a list of ``kind`` records; a bad record is
     refused with the reason, a missing field named."""
     if not isinstance(records, list):
-        raise RecordError(f"expected a list of {kind} records, got {records!r}")
+        raise RecordError(f"expected a list of {kind} records, got {_shown(records)}")
     terms = []
     for rec in records:
         try:
             terms.append(read(_typed(rec, (Mapping,))))
         except _BAD_FIELD as exc:
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise RecordError(f"bad {kind} record: {rec!r} ({reason})") from exc
+            raise RecordError(f"bad {kind} record: {_shown(rec)} ({reason})") from exc
     return terms
 
 
@@ -89,7 +109,7 @@ def _parameter_field(kind) -> Optional[str]:
     try:
         return _PARAMETER_FIELD[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise RecordError(f"unknown state kind: {kind!r}") from None
+        raise RecordError(f"unknown state kind: {_shown(kind)}") from None
 
 
 def element_to_records(element: WeylElement) -> list[dict]:
@@ -115,7 +135,7 @@ def state_to_record(state: StateFunctional) -> dict:
 
 def state_from_record(record: Mapping) -> StateFunctional:
     if not isinstance(record, Mapping):
-        raise RecordError(f"bad state record: {record!r}")
+        raise RecordError(f"bad state record: {_shown(record)}")
     kind = record.get("kind")
     field = _parameter_field(kind)
     return StateFunctional(kind, None if field is None else _fraction_from(record.get(field)))
@@ -147,7 +167,7 @@ def vector_from_records(records: list[Mapping]) -> FiniteSupportVector:
         raise RecordError("empty vector record list (flavor undeterminable)")
     flavor = terms[0][0]
     if flavor not in FLAVORS:
-        raise RecordError(f"unknown flavor: {flavor!r}")
+        raise RecordError(f"unknown flavor: {_shown(flavor)}")
     if any(f != flavor for f, _ in terms):
         raise RecordError("mixed flavors in one vector record list")
     return FiniteSupportVector([amplitude for _, amplitude in terms], flavor)

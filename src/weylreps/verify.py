@@ -9,13 +9,15 @@ that order; the oracle properties take the grid wavefunction they test.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import almost_periodic as ap
 from . import gns, reps, schrodinger
-from .algebra import EXACT_TOL, Record, WeylElement, WeylIndex, generator, identity, phase
+from .algebra import (EXACT_TOL, RationalIndex, Record, WeylElement, WeylIndex, _index,
+                      _rational, generator, identity, phase_ratio)
 from .states import (BROKEN_DIRECTION, StateFunctional, gram_matrix, least_eigenvalue,
                      momentum_state, position_state, vacuum_state)
 
@@ -37,13 +39,43 @@ class CheckResult(Record):
     _fields = ("suite", "name", "passed", "detail")
 
 
+def _rand_ratio(rng: random.Random, max_abs: int = 10, max_den: int = 12,
+                nonzero: bool = False) -> tuple[int, int]:
+    """The integers (num, den), in lowest terms, of one seeded rational draw.
+
+    ``den`` is uniform in [1, max_den], then ``num`` in [-max_abs den,
+    max_abs den], both drawn again while ``num`` is 0 if ``nonzero``.  Each
+    is one ``randrange(lo, hi + 1)``, the call ``randint(lo, hi)`` makes, so
+    every generator of this module draws the stream of ``randint``.
+    """
+    randrange = rng.randrange
+    while True:
+        den = randrange(1, max_den + 1)
+        bound = max_abs * den
+        num = randrange(-bound, bound + 1)
+        if num or not nonzero:
+            g = math.gcd(num, den)
+            return num // g, den // g
+
+
+def _rand_key(rng: random.Random, max_abs: int = 10, max_den: int = 12,
+              nonzero: bool = False) -> RationalIndex:
+    """:func:`rand_fraction`'s value as a ``RationalIndex``, built from the integers."""
+    return _rational(*_rand_ratio(rng, max_abs, max_den, nonzero))
+
+
+def _rand_index(rng: random.Random, max_abs: int = 10, max_den: int = 12) -> WeylIndex:
+    """``WeylIndex`` of two :func:`rand_fraction` draws, on their least common
+    denominator as ``WeylIndex`` puts it."""
+    pa, qa = _rand_ratio(rng, max_abs, max_den)
+    pb, qb = _rand_ratio(rng, max_abs, max_den)
+    q = qa // math.gcd(qa, qb) * qb
+    return _index(pa * (q // qa), pb * (q // qb), q)
+
+
 def rand_fraction(rng: random.Random, max_abs: int = 10, max_den: int = 12,
                   nonzero: bool = False) -> Fraction:
-    while True:
-        den = rng.randint(1, max_den)
-        value = Fraction(rng.randint(-max_abs * den, max_abs * den), den)
-        if value or not nonzero:
-            return value
+    return Fraction(*_rand_ratio(rng, max_abs, max_den, nonzero))
 
 
 def rand_coeff(rng: random.Random) -> complex:
@@ -52,21 +84,20 @@ def rand_coeff(rng: random.Random) -> complex:
 
 def rand_element(rng: random.Random, max_terms: int = 3) -> WeylElement:
     return WeylElement({
-        WeylIndex(rand_fraction(rng, 5, 6), rand_fraction(rng, 5, 6)): rand_coeff(rng)
-        for _ in range(rng.randint(1, max_terms))
+        _rand_index(rng, 5, 6): rand_coeff(rng) for _ in range(rng.randint(1, max_terms))
     })
 
 
 def rand_trig(rng: random.Random, n_terms: int) -> ap.TrigPolynomial:
-    coeffs = {Fraction(0): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))}
+    coeffs = {_rational(0, 1): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))}
     while len(coeffs) < n_terms:
-        freq = rand_fraction(rng, 3, 8, nonzero=True)  # drawn before its coefficient
+        freq = _rand_key(rng, 3, 8, nonzero=True)  # drawn before its coefficient
         coeffs[freq] = rand_coeff(rng)
     return ap.TrigPolynomial(coeffs)
 
 
 def _rand_generator(rng: random.Random) -> WeylElement:
-    return generator(rand_fraction(rng), rand_fraction(rng))
+    return WeylElement({_rand_index(rng): 1.0 + 0j})
 
 
 def _deviation(suite: str, name: str, dev: float, tol: float = EXACT_TOL,
@@ -83,10 +114,10 @@ def _halves(values: Sequence[float]) -> bool:
 def exchange_relation(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
     for _ in range(pairs):
-        a = rand_fraction(rng)
-        b = rand_fraction(rng)
+        a = _rand_key(rng)
+        b = _rand_key(rng)
         lhs = generator(a, 0) * generator(0, b)
-        rhs = phase(-a * b) * (generator(0, b) * generator(a, 0))
+        rhs = phase_ratio(-a._p * b._p, a._q * b._q) * (generator(0, b) * generator(a, 0))
         dev = max(dev, (lhs - rhs).max_coeff())
     return _deviation("algebra", f"exchange relation, {pairs} random rational pairs", dev)
 
@@ -120,8 +151,8 @@ def group_law(rng: random.Random, pairs: int) -> CheckResult:
     ok = True
     worst = 0.0
     for _ in range(pairs):
-        a, b = rand_fraction(rng), rand_fraction(rng)
-        a2, b2 = rand_fraction(rng), rand_fraction(rng)
+        a, b = _rand_key(rng), _rand_key(rng)
+        a2, b2 = _rand_key(rng), _rand_key(rng)
         product = generator(a, b) * generator(a2, b2)
         terms = dict(product.terms)
         ok = ok and list(terms) == [WeylIndex(a + a2, b + b2)]
@@ -133,14 +164,16 @@ def group_law(rng: random.Random, pairs: int) -> CheckResult:
 
 def conjugation_identity(rng: random.Random, pairs: int) -> CheckResult:
     """Both identities on the drawn pairs, then on gns.DEFAULT_PROBES squared."""
-    drawn = [(rand_fraction(rng), rand_fraction(rng)) for _ in range(pairs)]
-    grid = [(a, b) for a in gns.DEFAULT_PROBES for b in gns.DEFAULT_PROBES]
+    drawn = [(_rand_key(rng), _rand_key(rng)) for _ in range(pairs)]
+    probes = [RationalIndex(t) for t in gns.DEFAULT_PROBES]
+    grid = [(a, b) for a in probes for b in probes]
     dev = 0.0
     for a, b in drawn + grid:
+        p, q = a._p * b._p, a._q * b._q
         left = generator(0, -b) * generator(a, 0) * generator(0, b)
-        dev = max(dev, (left - phase(-a * b) * generator(a, 0)).max_coeff())
+        dev = max(dev, (left - phase_ratio(-p, q) * generator(a, 0)).max_coeff())
         left = generator(-a, 0) * generator(0, b) * generator(a, 0)
-        dev = max(dev, (left - phase(a * b) * generator(0, b)).max_coeff())
+        dev = max(dev, (left - phase_ratio(p, q) * generator(0, b)).max_coeff())
     return _deviation("algebra", "conjugation identities V_-b U_a V_b = exp(-iab) U_a"
                       " and U_-a V_b U_a = exp(iab) V_b", dev)
 
@@ -159,11 +192,11 @@ def unitarity(rng: random.Random, vectors: int) -> CheckResult:
     dev = 0.0
     for flavor in reps.FLAVORS:
         for _ in range(vectors):
-            a = rand_fraction(rng)
+            a = _rand_key(rng)
             u = reps.FiniteSupportVector(
-                {rand_fraction(rng): rand_coeff(rng) for _ in range(3)}, flavor)
+                {_rand_key(rng): rand_coeff(rng) for _ in range(3)}, flavor)
             v = reps.FiniteSupportVector(
-                {rand_fraction(rng): rand_coeff(rng) for _ in range(3)}, flavor)
+                {_rand_key(rng): rand_coeff(rng) for _ in range(3)}, flavor)
             before = reps.inner(u, v)
             dev = max(dev, abs(reps.inner(reps.apply_U(a, u), reps.apply_U(a, v)) - before))
             dev = max(dev, abs(reps.inner(reps.apply_V(a, u), reps.apply_V(a, v)) - before))
@@ -174,11 +207,11 @@ def sharp_eigenvectors(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
     keys_ok = True
     for _ in range(pairs):
-        a = rand_fraction(rng)
-        lam = rand_fraction(rng)
+        a = _rand_key(rng)
+        lam = _rand_key(rng)
         moved = reps.apply_U(a, reps.basis_vector(lam))
         keys_ok = keys_ok and set(moved.amplitudes) == {lam}
-        dev = max(dev, abs(moved.amplitudes[lam] - phase(a * lam)))
+        dev = max(dev, abs(moved.amplitudes[lam] - phase_ratio(a._p * lam._p, a._q * lam._q)))
     return CheckResult(
         "reps", "sharp eigenvectors: U_a phi_x = exp(iax) phi_x",
         keys_ok and dev < EXACT_TOL, f"keys exact: {keys_ok}, phase off {dev:.2e}")
@@ -190,7 +223,7 @@ def basis_exchange_relation(rng: random.Random, triples: int,
     for flavor in flavors:
         for _ in range(triples):
             dev = max(dev, reps.weyl_relation_check(
-                rand_fraction(rng), rand_fraction(rng), rand_fraction(rng), flavor))
+                _rand_key(rng), _rand_key(rng), _rand_key(rng), flavor))
     which = "both flavors" if len(flavors) == 2 else f"{flavors[0]} flavor"
     return _deviation("reps", f"exchange relation on random basis vectors, {which}", dev)
 
@@ -198,8 +231,8 @@ def basis_exchange_relation(rng: random.Random, triples: int,
 def shifted_diagonal(rng: random.Random, shifts: int) -> CheckResult:
     exact = True
     for _ in range(shifts):
-        b = rand_fraction(rng, nonzero=True)
-        lam = rand_fraction(rng)
+        b = _rand_key(rng, nonzero=True)
+        lam = _rand_key(rng)
         exact = exact and reps.v_direction_matrix_element(b, lam) == 0
         exact = exact and reps.u_direction_matrix_element(b, lam) == 0
     exact = exact and reps.v_direction_matrix_element(Fraction(1, 10**6), Fraction(5)) == 0
@@ -212,7 +245,7 @@ def shifted_diagonal(rng: random.Random, shifts: int) -> CheckResult:
 def finite_differences(rng: random.Random, points: int, halvings: int) -> CheckResult:
     ok = True
     for _ in range(points):
-        phi = reps.basis_vector(rand_fraction(rng, nonzero=True))
+        phi = reps.basis_vector(_rand_key(rng, nonzero=True))
         target = reps.apply_Q(phi)
         errors = [(reps.finite_difference_generator(Fraction(1, 2**k), phi) - target).norm()
                   for k in range(8, 9 + halvings)]
@@ -242,10 +275,10 @@ def conjugation_chain(rng: random.Random, samples: int) -> CheckResult:
     """
     dev = 0.0
     for _ in range(samples):
-        a, b = rand_fraction(rng), rand_fraction(rng)
-        phi = reps.basis_vector(rand_fraction(rng), reps.MOMENTUM)
+        a, b = _rand_key(rng), _rand_key(rng)
+        phi = reps.basis_vector(_rand_key(rng), reps.MOMENTUM)
         dev = max(dev, gns._chain_gap(phi, b, a))
-        dev = max(dev, gns._chain_gap(reps.basis_vector(rand_fraction(rng)), a, b))
+        dev = max(dev, gns._chain_gap(reps.basis_vector(_rand_key(rng)), a, b))
     return _deviation("reps", "conjugation chain on the sharp eigenvectors of both models", dev)
 
 
@@ -288,7 +321,7 @@ def cauchy_schwarz(rng: random.Random, states: States, pairs: int) -> CheckResul
 
 
 def eigenvector_witnesses(rng: random.Random, points: int) -> CheckResult:
-    lam_probes = [rand_fraction(rng) for _ in range(points)]
+    lam_probes = [_rand_key(rng) for _ in range(points)]
     witnesses = [gns.eigenvector_witness(position_state(lam)) for lam in lam_probes]
     witnesses += [gns.eigenvector_witness(momentum_state(lam)) for lam in lam_probes]
     return CheckResult(
@@ -300,7 +333,7 @@ def eigenvector_witnesses(rng: random.Random, points: int) -> CheckResult:
 def word_geometry(rng: random.Random, points: int, words: int) -> CheckResult:
     dev = 0.0
     for _ in range(points):
-        lam = rand_fraction(rng)
+        lam = _rand_key(rng)
         dev = max(dev, gns.equivalence_check(lam, [rand_element(rng) for _ in range(words)]))
     return _deviation("gns", "word geometry matches the sharp-point model", dev,
                       label="max inner-product gap")
@@ -401,7 +434,7 @@ def mean_translation_invariant(rng: random.Random, polys: int) -> CheckResult:
     ok = True
     for _ in range(polys):
         f = rand_trig(rng, 4)
-        ok = ok and f.translate(rand_fraction(rng)).invariant_mean() == f.invariant_mean()
+        ok = ok and f.translate(_rand_key(rng)).invariant_mean() == f.invariant_mean()
     return CheckResult(
         "ap", "translation invariance of the mean, exact",
         ok, "frequency-0 coefficient untouched")
@@ -422,15 +455,15 @@ def evaluation_multiplicative(rng: random.Random, pairs: int) -> CheckResult:
     dev = 0.0
     for _ in range(pairs):
         f, g = rand_trig(rng, 3), rand_trig(rng, 3)
-        x = rand_fraction(rng)
+        x = _rand_key(rng)
         dev = max(dev, abs((f * g).evaluate_at(x) - f.evaluate_at(x) * g.evaluate_at(x)))
     return _deviation("ap", "evaluation functionals are multiplicative", dev)
 
 
 def mean_kills_characters(rng: random.Random, chars: int) -> CheckResult:
     exact = all(
-        ap.trig_generator(rand_fraction(rng, nonzero=True)).invariant_mean() == 0
-        and ap.trig_generator(rand_fraction(rng, nonzero=True)).invariant_mean() == 0
+        ap.trig_generator(_rand_key(rng, nonzero=True)).invariant_mean() == 0
+        and ap.trig_generator(_rand_key(rng, nonzero=True)).invariant_mean() == 0
         for _ in range(chars)
     ) and ap.trig_generator(0).invariant_mean() == 1
     return CheckResult(
@@ -441,8 +474,8 @@ def mean_kills_characters(rng: random.Random, chars: int) -> CheckResult:
 def momentum_fourier(rng: random.Random, points: int, probes: int) -> CheckResult:
     ok = True
     for _ in range(points):
-        lam = rand_fraction(rng)
-        shifts = [Fraction(0)] + [rand_fraction(rng, nonzero=True) for _ in range(probes - 1)]
+        lam = _rand_key(rng)
+        shifts = [_rational(0, 1)] + [_rand_key(rng, nonzero=True) for _ in range(probes - 1)]
         ok = ok and all(reps.v_direction_matrix_element(a, lam)
                         == ap.trig_generator(a).invariant_mean() for a in shifts)
     return CheckResult(

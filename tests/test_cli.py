@@ -491,6 +491,28 @@ def test_records_whose_merge_passes_the_float_range_name_the_file(capsys, tmp_pa
     assert re.fullmatch(rf"error: {re.escape(bad)}: non-finite coefficient at .*\n", captured.err)
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("product", "[" * 900 + "]" * 900),
+    ("product", json.dumps([[0] * 10**5])),
+    ("product", json.dumps({f"k{i}": 0 for i in range(10**5)})),
+    ("gns-build", json.dumps({f"k{i}": 0 for i in range(10**5)})),
+], ids=["product-900-nested", "product-list-of-1e5", "product-object-of-1e5",
+        "gns-build-object-of-1e5"])
+def test_a_large_refused_value_prints_one_short_error_line(capsys, tmp_path, u1_file, command,
+                                                            payload):
+    # the refused value is shown capped: the whole line stays under 300
+    # characters past the file name, however large the value is
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    argv = ["product", str(bad), u1_file] if command == "product" else \
+        ["gns-build", "--state", "vacuum", str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {bad}: ")
+    assert len(captured.err) < len(str(bad)) + 300
+
+
 def test_gns_build_momentum_pins_reduction_shifts(capsys, tmp_path):
     words = write_json(
         tmp_path / "words.json",

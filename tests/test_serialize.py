@@ -17,7 +17,9 @@ from weylreps import (
     vacuum_state,
 )
 from weylreps.serialize import (
+    _SHOWN_CHARS,
     RecordError,
+    _shown,
     element_from_records,
     element_to_records,
     parse_state_arg,
@@ -280,3 +282,18 @@ def test_a_bad_term_record_keeps_its_reason(read, record, message):
     with pytest.raises(RecordError) as info:
         read([record])
     assert str(info.value) == message
+
+
+def test_a_refused_value_is_shown_capped_however_large_or_deep():
+    assert _shown({"a": "1/0"}) == "{'a': '1/0'}"
+    wide = [0] * 10**5
+    rest = len(repr(wide)) - _SHOWN_CHARS
+    assert _shown(wide) == f"{repr(wide)[:_SHOWN_CHARS]}... ({rest} more characters)"
+    deep = []
+    for _ in range(10**5):  # past the recursion limit of repr
+        deep = [deep]
+    assert _shown(deep) == "a list nested too deeply to show"
+    # a field's text and the reason that repeats it are both capped
+    with pytest.raises(RecordError) as info:
+        element_from_records([{"a": "x" * 10**6, "b": "0", "re": 1.0, "im": 0.0}])
+    assert len(str(info.value)) < 5 * _SHOWN_CHARS

@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,22 @@ def test_verify_stdout_matches_its_golden_file(capsys, monkeypatch, seed):
     want = (GOLDEN / f"seed-{seed}.out").read_text().splitlines()
     assert sum(line.startswith(PLATFORM_LINES) for line in want) == 7
     assert [name_and_verdict(line) for line in got] == [name_and_verdict(line) for line in want]
+
+
+def test_verify_all_builds_few_fractions(monkeypatch):
+    """The checks draw and compute on integers: ``run_suites(["all"], 42)``
+    built 446 ``Fraction``s when this bound was set, and 14.4k when the draws
+    were ``Fraction``s and the phases ``phase(-a * b)``."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert all(result.passed for result in run_suites(["all"], 42))
+    assert 0 < len(built) <= 1000
 
 
 def test_unknown_suite_is_refused():
