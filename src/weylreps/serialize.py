@@ -7,6 +7,10 @@ shortest round-trip decimals; a non-finite one is refused.  Records are plain
 dicts/lists, so callers pick the transport (json module, CSV writer) themselves.
 A rational whose numerator or denominator passes the interpreter's limit on
 int strings (``sys.get_int_max_str_digits``) is refused when it is written.
+
+Element records need only ``algebra``.  The state, vector and polynomial
+readers import ``states``, ``reps`` and ``almost_periodic`` where they run,
+so a command line request loads only the modules it computes with.
 """
 
 from __future__ import annotations
@@ -15,15 +19,14 @@ import math
 import sys
 from fractions import Fraction
 from operator import itemgetter
-from typing import IO, Mapping, Optional, Sequence, Tuple
+from typing import IO, TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from .algebra import WeylElement, WeylIndex, as_fraction
-from .almost_periodic import TrigPolynomial
-from .reps import FLAVORS, FiniteSupportVector
-from .states import MOMENTUM, POSITION, VACUUM, StateFunctional
 
-#: record field of each kind's parameter; the vacuum takes none
-_PARAMETER_FIELD = {POSITION: "lambda", MOMENTUM: "mu", VACUUM: None}
+if TYPE_CHECKING:
+    from .almost_periodic import TrigPolynomial
+    from .reps import FiniteSupportVector
+    from .states import StateFunctional
 
 #: what reading a malformed field raises, a number past the float range included
 _BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
@@ -106,8 +109,10 @@ def _terms(records: list[Mapping], kind: str, read) -> list:
 
 
 def _parameter_field(kind) -> Optional[str]:
+    from .states import PARAMETER_FIELD
+
     try:
-        return _PARAMETER_FIELD[kind]
+        return PARAMETER_FIELD[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise RecordError(f"unknown state kind: {_shown(kind)}") from None
 
@@ -127,13 +132,15 @@ def element_from_records(records: list[Mapping]) -> WeylElement:
 
 
 def state_to_record(state: StateFunctional) -> dict:
-    field = _PARAMETER_FIELD[state.kind]
+    field = _parameter_field(state.kind)
     if field is None:
         return {"kind": state.kind}
     return {"kind": state.kind, field: _rational_text(state.parameter, field)}
 
 
 def state_from_record(record: Mapping) -> StateFunctional:
+    from .states import StateFunctional
+
     if not isinstance(record, Mapping):
         raise RecordError(f"bad state record: {_shown(record)}")
     kind = record.get("kind")
@@ -143,6 +150,8 @@ def state_from_record(record: Mapping) -> StateFunctional:
 
 def parse_state_arg(text: str) -> StateFunctional:
     """Compact command line form: 'vacuum', 'position:3/2', 'momentum:-1'."""
+    from .states import StateFunctional
+
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
     if _parameter_field(kind) is None:
@@ -161,6 +170,8 @@ def vector_to_records(vector: FiniteSupportVector) -> list[dict]:
 
 
 def vector_from_records(records: list[Mapping]) -> FiniteSupportVector:
+    from .reps import FLAVORS, FiniteSupportVector
+
     terms = _terms(records, "vector", lambda rec: (
         rec.get("flavor"), (_fraction_from(rec["point"]), _coefficient(rec))))
     if not terms:
@@ -181,6 +192,8 @@ def trig_to_records(poly: TrigPolynomial) -> list[dict]:
 
 
 def trig_from_records(records: list[Mapping]) -> TrigPolynomial:
+    from .almost_periodic import TrigPolynomial
+
     return TrigPolynomial(_terms(records, "polynomial", lambda rec: (
         _fraction_from(rec["freq"]), _coefficient(rec))))
 

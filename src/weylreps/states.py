@@ -45,6 +45,8 @@ if TYPE_CHECKING:
 
 VACUUM = "vacuum"
 KINDS = (POSITION, MOMENTUM, VACUUM)
+#: record field of each kind's parameter (``serialize``); the vacuum takes none
+PARAMETER_FIELD = {POSITION: "lambda", MOMENTUM: "mu", VACUUM: None}
 
 U_DIRECTION = "U"
 V_DIRECTION = "V"

@@ -86,9 +86,10 @@ def test_bad_state_argument_prints_one_error_line_and_exits_2(capsys, u1_file, s
     assert (captured.out, captured.err) == ("", line + "\n")
 
 
-def run_fresh(*args):
-    """Run ``python *args`` in a fresh interpreter that imports this package."""
-    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent))
+def run_fresh(*args, **environ):
+    """Run ``python *args`` in a fresh interpreter that imports this package,
+    with the variables ``environ`` set beside the test's own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent), **environ)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, check=False
     )
@@ -101,6 +102,34 @@ def imported_modules(stderr: str) -> list[str]:
         for line in stderr.splitlines()
         if line.startswith("import time:") and "imported package" not in line
     ]
+
+
+def package_modules(modules) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "weylreps"}
+
+
+#: the package modules each subcommand loads: the ones it computes with
+#: (``-m weylreps.cli`` runs ``cli`` as ``__main__``, so it is not listed)
+_ELEMENT_MODULES = {"weylreps", "weylreps.algebra", "weylreps.serialize"}
+_STATE_MODULES = _ELEMENT_MODULES | {"weylreps.reps", "weylreps.states"}
+LOADED = {
+    "product": _ELEMENT_MODULES,
+    "eval-state": _STATE_MODULES,
+    "gns-build": _STATE_MODULES | {"weylreps.gns"},
+    "continuity-scan": _STATE_MODULES | {"weylreps.gns"},
+    "mean": _ELEMENT_MODULES | {"weylreps.almost_periodic", "weylreps.schrodinger"},
+    "verify": _STATE_MODULES | {"weylreps.almost_periodic", "weylreps.gns",
+                                "weylreps.schrodinger", "weylreps.verify"},
+}
+
+
+def assert_loads_its_modules(argv, proc):
+    """A request loads exactly its subcommand's modules; a refused one no more."""
+    loaded = package_modules(imported_modules(proc.stderr))
+    if proc.returncode == 0:
+        assert loaded == LOADED[argv[0]], argv
+    else:
+        assert loaded <= LOADED[argv[0]], argv
 
 
 def test_eval_state_oversized_rational_exits_2(tmp_path):
@@ -327,6 +356,17 @@ def test_verify_rejects_bad_env_seed(capsys, monkeypatch):
     assert main(["verify", "--suite", "algebra"]) == 2
 
 
+@pytest.mark.parametrize("seed", ["x" * 450, "1" * 5000], ids=["450-chars", "5000-digits"])
+def test_long_bad_env_seed_prints_one_capped_error_line(capsys, monkeypatch, seed):
+    monkeypatch.setenv("WEYLREPS_SEED", seed)
+    assert main(["verify", "--suite", "algebra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: WEYLREPS_SEED must be an integer, got ")
+    assert len(line) <= 200
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["product", "/nonexistent/a.json", "/nonexistent/b.json"]) == 2
 
@@ -385,19 +425,23 @@ def test_package_and_oracle_import_leave_numpy_unloaded(module):
 
 def test_exact_subcommands_start_without_numpy(tmp_path, u1_file, v1_file):
     words = write_json(tmp_path / "words.json", [[{"a": "1", "b": "2", "re": 1.0, "im": 0.0}]])
+    bad = write_json(tmp_path / "bad.json", [{"a": "1/0", "b": "0", "re": 1.0, "im": 0.0}])
     requests = [
         (["product", u1_file, v1_file], 0),
         (["eval-state", "--state", "vacuum", u1_file], 0),
         (["gns-build", "--state", "momentum:1/2", words], 0),
         (["continuity-scan", "--state", "position:0", "--direction", "V",
           "--grid", "0,1/8,1/64"], 0),
+        (["product", u1_file, bad], 2),
         (["eval-state", "--state", "thermal:1", u1_file], 2),
+        (["gns-build", "--state", "vacuum", bad], 2),
+        (["continuity-scan", "--state", "vacuum", "--direction", "U", "--grid", "0,x"], 2),
     ]
     for argv, code in requests:
         proc = run_fresh("-X", "importtime", "-m", "weylreps.cli", *argv)
         assert proc.returncode == code, (argv, proc.stderr)
         modules = imported_modules(proc.stderr)
-        assert "weylreps.gns" in modules
+        assert_loads_its_modules(argv, proc)
         assert [m for m in modules if m.startswith("numpy")] == [], argv
         if code == 2:
             errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
@@ -411,6 +455,20 @@ def test_mean_imports_no_numpy_and_prints_the_in_process_result(capsys, poly_fil
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert [m for m in imported_modules(proc.stderr) if m.startswith("numpy")] == []
+
+
+def test_mean_and_verify_load_the_modules_they_compute_with(tmp_path, poly_file):
+    bad = write_json(tmp_path / "bad.json", [{"freq": "1/0", "re": 1.0, "im": 0.0}])
+    requests = [
+        (["mean", poly_file], {}, 0),
+        (["mean", bad], {}, 2),
+        (["verify", "--suite", "algebra", "--seed", "7"], {}, 0),
+        (["verify", "--suite", "algebra"], {"WEYLREPS_SEED": "x"}, 2),
+    ]
+    for argv, environ, code in requests:
+        proc = run_fresh("-X", "importtime", "-m", "weylreps.cli", *argv, **environ)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert_loads_its_modules(argv, proc)
 
 
 def test_mean_runs_where_numpy_cannot_be_imported(capsys, poly_file):
@@ -588,7 +646,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_verify():
     )
     assert proc.returncode == 0, proc.stderr
     added = eval(proc.stdout)
-    assert "weylreps.gns" in added
+    assert package_modules(added) == {"weylreps", "weylreps.algebra", "weylreps.cli",
+                                      "weylreps.serialize"}
     assert [m for m in ("dataclasses", "inspect", "weylreps.verify") if m in added] == []
 
 

@@ -1,3 +1,11 @@
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 import weylreps
@@ -26,3 +34,53 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         weylreps.no_such_name
     assert not hasattr(weylreps, "no_such_name")
+
+
+def run_fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_bare_import_loads_no_submodule():
+    out = run_fresh("import sys, weylreps\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'weylreps'))")
+    assert out == "['weylreps']\n"
+
+
+def test_each_public_name_is_its_home_module_object_bound_on_first_access():
+    # the home of a class or function is also where it was defined
+    out = run_fresh("""
+import json, sys, weylreps
+wrong = []
+for name in weylreps.__all__:
+    home = "weylreps." + weylreps._HOME[name]
+    unbound = name not in vars(weylreps)
+    value = getattr(weylreps, name)
+    if not (unbound and vars(weylreps).get(name) is value
+            and value is getattr(sys.modules[home], name)
+            and getattr(value, "__module__", home) == home):
+        wrong.append(name)
+print(json.dumps([len(weylreps.__all__), wrong]))
+""")
+    assert json.loads(out) == [61, []]
+
+
+def test_submodule_resolves_after_a_bare_import():
+    out = run_fresh("import weylreps, sys\n"
+                    "print(weylreps.gns is sys.modules['weylreps.gns'], weylreps.gns.__name__)")
+    assert out == "True weylreps.gns\n"
+
+
+def test_pickled_labels_and_states_load_back():
+    values = [weylreps.WeylIndex(Fraction(3, 2), -7), weylreps.RationalIndex(Fraction(-1, 3)),
+              weylreps.StateFunctional("position", Fraction(5, 4)), weylreps.vacuum_state()]
+    for value in values:
+        assert pickle.loads(pickle.dumps(value)) == value
+    data = pickle.dumps(values).hex()
+    out = run_fresh("import pickle, weylreps\n"
+                    f"print([repr(v) for v in pickle.loads(bytes.fromhex({data!r}))])")
+    assert out == f"{[repr(v) for v in values]}\n"
