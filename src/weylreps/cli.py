@@ -11,20 +11,12 @@ printed so failures reproduce exactly.
 Each request is a fresh process, so all it loads before computing is paid
 on every request.  This module imports only ``serialize`` and ``algebra``;
 each subcommand imports the modules it computes with where it runs and
-calls them by module attribute.  So ``product`` loads ``algebra`` and
-``serialize`` of the package, ``eval-state`` adds ``reps`` and ``states``
-(through the state reader), ``gns-build`` and ``continuity-scan`` add
-``gns``, and ``mean`` adds ``almost_periodic`` and ``schrodinger`` to the
-first two; a test pins each set.  A fresh ``import weylreps.cli`` took 64 ms
-when the package imported every module, and takes 56 ms so, beside 38 ms for
-the interpreter alone (compiled from source, median of 41 interleaved runs).
-Only ``verify`` computes with numpy, through the grid oracle, the Gram
-eigensolver and the sup-norm bracket, and those functions import it when
-they run.  Only ``verify`` imports ``weylreps.verify``: ``--suite`` takes
-its choices from ``SUITE_NAMES`` here, which a test keeps equal to the
-registry's.  No module of the package imports ``dataclasses``
-(it loads ``inspect`` and ``ast``), and each JSON result is written from one
-``json.dumps`` string: ``json.dump`` to a stream bypasses the C encoder.
+calls them by module attribute (``LOADED`` in ``tests/test_cli.py`` lists
+them).  Only ``verify`` computes with numpy, and imports
+``weylreps.verify``: ``--suite`` takes its choices from ``SUITE_NAMES``
+here, which a test keeps equal to the registry's.  Each JSON result is
+written from one ``json.dumps`` string: ``json.dump`` to a stream bypasses
+the C encoder.
 """
 
 from __future__ import annotations
@@ -72,18 +64,27 @@ def _complex_record(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
+def _write_json(value) -> None:
+    """Write ``value`` as one line from one ``json.dumps`` string, the C encoder;
+    JSON holds no inf or nan, so a result with one is refused and nothing is written."""
+    try:
+        text = json.dumps(value, allow_nan=False)
+    except ValueError:
+        raise ValueError("cannot write the result: a number in it is inf or nan") from None
+    sys.stdout.write(text + "\n")
+
+
 def _cmd_product(args) -> int:
     left = _load_records(args.left, serialize.element_from_records)
     right = _load_records(args.right, serialize.element_from_records)
-    sys.stdout.write(json.dumps(serialize.element_to_records(left * right)) + "\n")
+    _write_json(serialize.element_to_records(left * right))
     return 0
 
 
 def _cmd_eval_state(args) -> int:
     state = serialize.parse_state_arg(args.state)
     element = _load_records(args.element, serialize.element_from_records)
-    value = state(element)
-    sys.stdout.write(json.dumps(_complex_record(value)) + "\n")
+    _write_json(_complex_record(state(element)))
     return 0
 
 
@@ -112,7 +113,7 @@ def _cmd_gns_build(args) -> int:
         out["reductions"] = [[{"shift": serialize._rational_text(key, "shift"),
                                "re": amp.real, "im": amp.imag}
                               for key, amp in sorted(r.amplitudes.items())] for r in reduced]
-    sys.stdout.write(json.dumps(out) + "\n")
+    _write_json(out)
     return 0
 
 

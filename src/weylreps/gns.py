@@ -194,7 +194,8 @@ def reduce_momentum(v: GnsVector) -> FiniteSupportVector:
 def _reduce(v: GnsVector) -> FiniteSupportVector:
     """The word summed on the owner's point model (``states._point_rows``,
     which also fills ``gram_matrix``'s R), as a vector of the owner's flavor
-    keyed by the points (n, d) in lowest terms."""
+    keyed by the shifts (n, d) in lowest terms: b for position, a for
+    momentum.  The term lands at the point lam - b or mu + a of the model."""
     rows, flat = _point_rows(v.owner, [v.word])
     return FiniteSupportVector({_rational(n, d): flat[row] for (n, d), row in rows.items()},
                                v.owner.kind)

@@ -154,11 +154,13 @@ def parse_state_arg(text: str) -> StateFunctional:
 
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
-    if _parameter_field(kind) is None:
-        if param:
-            raise RecordError("the vacuum state takes no parameter")
-        return StateFunctional(kind)
-    return StateFunctional(kind, _fraction_from(param))
+    if param and _parameter_field(kind) is not None:
+        param = _fraction_from(param)  # a malformed parameter names its own fault
+    try:
+        # refuses a vacuum parameter and a missing one: an empty text is none
+        return StateFunctional(kind, None if param == "" else param)
+    except ValueError as exc:
+        raise RecordError(str(exc)) from None
 
 
 def vector_to_records(vector: FiniteSupportVector) -> list[dict]:

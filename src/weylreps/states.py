@@ -109,13 +109,14 @@ class StateFunctional(Record):
 
     def _point(self, pa: int, pb: int, q: int) -> tuple[int, int, complex]:
         """W(pa/q, pb/q) applied to a sharp state's cyclic vector, on its point
-        model: the point n/d in lowest terms and the unit amplitude there.
+        model: the shift n/d in lowest terms and the unit amplitude there.
 
-        Position(lam) puts it at b with amplitude exp(i a (lam - b)), momentum(mu)
-        at a with amplitude exp(i b mu).  The angle goes to ``phase_ratio``
+        Position(lam) keys it by the shift b, at the point lam - b, with
+        amplitude exp(i a (lam - b)); momentum(mu) by the shift a, at the point
+        mu + a, with amplitude exp(i b mu).  The angle goes to ``phase_ratio``
         unreduced, which equals the phase of the ``Fraction`` angle bit for bit.
         The map is isometric: state(W(s)* W(t)) is the conjugate amplitude of s
-        times that of t where the points agree, and 0 where they do not.
+        times that of t where the shifts agree, and 0 where they do not.
         """
         if self.kind == POSITION:
             lam = self.parameter

@@ -1,14 +1,12 @@
 import cmath
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import weylreps
+from fresh import MainRuns, imported_modules, package_modules, run_fresh
 from weylreps import cli, verify
 from weylreps.cli import main
 
@@ -75,6 +73,8 @@ def test_eval_state_unknown_kind_exits_2(capsys, u1_file):
     ("thermal", "error: unknown state kind: 'thermal'"),
     ("vacuum:1", "error: the vacuum state takes no parameter"),
     ("position:1/0", "error: not an exact rational: '1/0' (zero denominator)"),
+    ("position", "error: position state needs a rational parameter"),
+    ("momentum:", "error: momentum state needs a rational parameter"),
 ])
 @pytest.mark.parametrize("command", ["eval-state", "gns-build", "continuity-scan"])
 def test_bad_state_argument_prints_one_error_line_and_exits_2(capsys, u1_file, spec, line,
@@ -84,28 +84,6 @@ def test_bad_state_argument_prints_one_error_line_and_exits_2(capsys, u1_file, s
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", line + "\n")
-
-
-def run_fresh(*args, **environ):
-    """Run ``python *args`` in a fresh interpreter that imports this package,
-    with the variables ``environ`` set beside the test's own."""
-    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent), **environ)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
-    )
-
-
-def imported_modules(stderr: str) -> list[str]:
-    """Module names from the ``-X importtime`` report in ``stderr``."""
-    return [
-        line.rsplit("|", 1)[1].strip()
-        for line in stderr.splitlines()
-        if line.startswith("import time:") and "imported package" not in line
-    ]
-
-
-def package_modules(modules) -> set[str]:
-    return {m for m in modules if m.split(".")[0] == "weylreps"}
 
 
 #: the package modules each subcommand loads: the ones it computes with
@@ -204,28 +182,30 @@ def test_state_parameter_error_keeps_its_reason(capsys, u1_file):
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
-# ``name|arguments`` lines; the CI's no-numpy step runs the same cases
+# ``name|arguments`` lines, each with its stdout in ``name.out``
 GOLDEN_CASES = [line.split("|") for line in (GOLDEN / "cases.txt").read_text().splitlines()]
-
-
-@pytest.mark.parametrize("name, args", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
-def test_cli_stdout_is_byte_identical_to_its_golden_file(capsys, monkeypatch, name, args):
-    # a changed key string, key order or float shows as a changed byte
-    monkeypatch.chdir(GOLDEN)
-    assert main(args.split()) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
-
-
-# ``name|arguments|error line``: malformed requests; the CI's no-numpy step runs them too
+# ``name|arguments|error line``: malformed requests
 ERROR_CASES = [line.split("|", 2) for line in (GOLDEN / "errors.txt").read_text().splitlines()]
 
 
+@pytest.fixture(scope="module")
+def golden_runs() -> dict:
+    """(exit code, stdout, stderr) of each golden case, by name, all run in one
+    interpreter where numpy cannot be imported, from ``tests/data/cli``."""
+    cases = GOLDEN_CASES + [(name, args) for name, args, _ in ERROR_CASES]
+    runs = MainRuns([args.split() for _, args in cases], blocked=["numpy"], cwd=GOLDEN)
+    return dict(zip([name for name, _ in cases], runs.results()))
+
+
+@pytest.mark.parametrize("name, args", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_cli_stdout_is_byte_identical_to_its_golden_file(golden_runs, name, args):
+    # a changed key string, key order or float shows as a changed byte
+    assert golden_runs[name] == (0, (GOLDEN / f"{name}.out").read_text(), "")
+
+
 @pytest.mark.parametrize("name, args, line", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
-def test_cli_error_line_is_its_golden_line(capsys, monkeypatch, name, args, line):
-    monkeypatch.chdir(GOLDEN)
-    assert main(args.split()) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", line + "\n")
+def test_cli_error_line_is_its_golden_line(golden_runs, name, args, line):
+    assert golden_runs[name] == (2, "", line + "\n")
 
 
 @pytest.mark.parametrize("grid", ["-1/2,0", "-1,0"])
@@ -443,6 +423,8 @@ def test_exact_subcommands_start_without_numpy(tmp_path, u1_file, v1_file):
         modules = imported_modules(proc.stderr)
         assert_loads_its_modules(argv, proc)
         assert [m for m in modules if m.startswith("numpy")] == [], argv
+        assert [m for m in ("dataclasses", "inspect", "weylreps.verify") if m in modules] == [], \
+            argv
         if code == 2:
             errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
             assert len(errors) == 1 and "Traceback" not in proc.stderr
@@ -469,19 +451,6 @@ def test_mean_and_verify_load_the_modules_they_compute_with(tmp_path, poly_file)
         proc = run_fresh("-X", "importtime", "-m", "weylreps.cli", *argv, **environ)
         assert proc.returncode == code, (argv, proc.stderr)
         assert_loads_its_modules(argv, proc)
-
-
-def test_mean_runs_where_numpy_cannot_be_imported(capsys, poly_file):
-    assert main(["mean", poly_file]) == 0
-    expected = capsys.readouterr().out
-    proc = run_fresh(
-        "-c",
-        "import runpy, sys; sys.modules['numpy'] = None; "
-        "runpy.run_module('weylreps.cli', run_name='__main__')",
-        "mean", poly_file,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected and proc.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ The file needs neither pytest nor numpy; run it as a script to check the
 draws on an interpreter without them:
 
     PYTHONPATH=src python3 tests/test_draws.py
+
+``tests/test_scripts.py`` runs it so, where neither can be imported.
 """
 
 import random

@@ -9,6 +9,7 @@ import pytest
 from helpers import count_element_products, rand_coeff, rand_element, rand_fraction
 from weylreps import (
     MOMENTUM,
+    POSITION,
     FiniteSupportVector,
     WeylElement,
     WeylIndex,
@@ -37,7 +38,7 @@ from weylreps import (
     vacuum_state,
     zero,
 )
-from weylreps.algebra import EXACT_TOL
+from weylreps.algebra import EXACT_TOL, as_fraction
 
 ALL_STATES = (position_state(1), momentum_state(Fraction(-2)), vacuum_state())
 
@@ -172,6 +173,28 @@ def test_reductions_are_vectors_of_the_owner_flavor():
         assert isinstance(reduced, FiniteSupportVector)
         assert reduced.flavor == state.kind
         assert len(reduced) == 2
+
+
+#: per sharp kind: its state, its reducer, and the point of the model at shift k from kappa
+SHARP = {
+    POSITION: (position_state, reduce_position, lambda kappa, k: kappa - as_fraction(k)),
+    MOMENTUM: (momentum_state, reduce_momentum, lambda kappa, k: kappa + as_fraction(k)),
+}
+
+
+@pytest.mark.parametrize("kind", SHARP)
+def test_a_reduction_is_keyed_by_shift_and_relabels_to_the_point_model(kind):
+    # W(a, b) moves the sharp point kappa to kappa - b (position) or kappa + a
+    # (momentum); the reduction keys that term by its shift, b or a
+    state, reduce, point = SHARP[kind]
+    rng = random.Random(5)
+    for _ in range(300):
+        kappa = rand_fraction(rng)
+        word = rand_element(rng, max_terms=5)
+        reduced = reduce(gns_apply(word, cyclic_vector(state(kappa))))
+        relabelled = FiniteSupportVector(
+            {point(kappa, k): amp for k, amp in reduced.amplitudes.items()}, kind)
+        assert relabelled == apply_element(word, basis_vector(kappa, kind)), (kappa, word)
 
 
 def test_reduce_requires_matching_state_kind():

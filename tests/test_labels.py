@@ -19,6 +19,8 @@ The file needs neither pytest nor numpy, except for the Gram matrix test;
 run it as a script to check the contract on an interpreter without them:
 
     PYTHONPATH=src python3 tests/test_labels.py
+
+``tests/test_scripts.py`` runs it so, where neither can be imported.
 """
 
 import cmath

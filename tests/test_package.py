@@ -1,15 +1,12 @@
 import json
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import weylreps
 import weylreps.schrodinger
+from fresh import run_fresh
 
 
 def test_every_public_name_resolves():
@@ -36,24 +33,22 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(weylreps, "no_such_name")
 
 
-def run_fresh(code: str) -> str:
+def fresh_stdout(code: str) -> str:
     """The stdout of ``code`` run in a fresh interpreter that imports this package."""
-    env = dict(os.environ, PYTHONPATH=str(Path(weylreps.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=False)
+    proc = run_fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_bare_import_loads_no_submodule():
-    out = run_fresh("import sys, weylreps\n"
-                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'weylreps'))")
+    out = fresh_stdout("import sys, weylreps\n"
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'weylreps'))")
     assert out == "['weylreps']\n"
 
 
 def test_each_public_name_is_its_home_module_object_bound_on_first_access():
     # the home of a class or function is also where it was defined
-    out = run_fresh("""
+    out = fresh_stdout("""
 import json, sys, weylreps
 wrong = []
 for name in weylreps.__all__:
@@ -70,8 +65,8 @@ print(json.dumps([len(weylreps.__all__), wrong]))
 
 
 def test_submodule_resolves_after_a_bare_import():
-    out = run_fresh("import weylreps, sys\n"
-                    "print(weylreps.gns is sys.modules['weylreps.gns'], weylreps.gns.__name__)")
+    out = fresh_stdout("import weylreps, sys\n"
+                       "print(weylreps.gns is sys.modules['weylreps.gns'], weylreps.gns.__name__)")
     assert out == "True weylreps.gns\n"
 
 
@@ -81,6 +76,6 @@ def test_pickled_labels_and_states_load_back():
     for value in values:
         assert pickle.loads(pickle.dumps(value)) == value
     data = pickle.dumps(values).hex()
-    out = run_fresh("import pickle, weylreps\n"
-                    f"print([repr(v) for v in pickle.loads(bytes.fromhex({data!r}))])")
+    out = fresh_stdout("import pickle, weylreps\n"
+                       f"print([repr(v) for v in pickle.loads(bytes.fromhex({data!r}))])")
     assert out == f"{[repr(v) for v in values]}\n"

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from fresh import MainRuns
 from helpers import count_element_products
 from weylreps import reps
 from weylreps.algebra import RationalIndex
 from weylreps.almost_periodic import TrigPolynomial
-from weylreps.cli import main
 from weylreps.gns import DEFAULT_PROBES
 from weylreps.verify import (SUITE_NAMES, CheckResult, conjugation_identity,
                             mean_kills_characters, momentum_fourier, rand_fraction,
@@ -73,9 +73,14 @@ def test_all_runs_every_check_in_order_and_equals_the_single_suites(seed):
 
 
 GOLDEN = Path(__file__).parent / "data" / "verify"
+SEEDS = (42, 7, 123)
 # their numbers come from LAPACK, BLAS or numpy quadrature, which can differ
 # across platforms: these lines compare by check name and verdict only
 PLATFORM_LINES = ("[gns] Gram matrices positive semidefinite", "[oracle] ")
+
+
+def golden_lines(seed: int) -> list[str]:
+    return (GOLDEN / f"seed-{seed}.out").read_text().splitlines()
 
 
 def name_and_verdict(line: str):
@@ -84,14 +89,38 @@ def name_and_verdict(line: str):
     return line
 
 
-@pytest.mark.parametrize("seed", [42, 7, 123])
-def test_verify_stdout_matches_its_golden_file(capsys, monkeypatch, seed):
-    monkeypatch.delenv("WEYLREPS_SEED", raising=False)
-    assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
-    got = capsys.readouterr().out.splitlines()
-    want = (GOLDEN / f"seed-{seed}.out").read_text().splitlines()
+@pytest.fixture(scope="module")
+def hash_seed_runs() -> list:
+    """``verify --suite all`` at each seed, in two fresh interpreters side by
+    side, one under ``PYTHONHASHSEED=0`` and one under ``1``: per seed, the
+    (exit code, stdout, stderr) of each."""
+    requests = [["verify", "--suite", "all", "--seed", str(seed)] for seed in SEEDS]
+    runs = [MainRuns(requests, PYTHONHASHSEED=hash_seed) for hash_seed in ("0", "1")]
+    return list(zip(*(run.results() for run in runs)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_stdout_matches_its_golden_file(hash_seed_runs, seed):
+    # a printed seed reproduces the run byte for byte, whatever the string hash seed
+    first, second = hash_seed_runs[SEEDS.index(seed)]
+    assert first == second
+    code, out, err = first
+    assert (code, err) == (0, "")
+    want = golden_lines(seed)
     assert sum(line.startswith(PLATFORM_LINES) for line in want) == 7
-    assert [name_and_verdict(line) for line in got] == [name_and_verdict(line) for line in want]
+    assert [name_and_verdict(line) for line in out.splitlines()] == \
+        [name_and_verdict(line) for line in want]
+
+
+def test_exact_suites_print_their_golden_lines_without_numpy():
+    requests = [(suite, seed) for suite in ("algebra", "reps") for seed in SEEDS]
+    runs = MainRuns([["verify", "--suite", suite, "--seed", str(seed)]
+                     for suite, seed in requests], blocked=["numpy"])
+    for (suite, seed), (code, out, err) in zip(requests, runs.results()):
+        lines = [line for line in golden_lines(seed) if line.startswith(f"[{suite}] ")]
+        n = len(lines)
+        assert (code, err) == (0, ""), (suite, seed)
+        assert out.splitlines() == [f"seed {seed}", *lines, f"{n}/{n} checks passed"]
 
 
 def test_verify_all_builds_few_fractions(monkeypatch):
