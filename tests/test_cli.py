@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fresh import MainRuns, imported_modules, package_modules, run_fresh
+from fresh import MainRuns, imported_modules, package_modules, run_fresh, without
 from weylreps import cli, verify
 from weylreps.cli import main
 
@@ -437,6 +437,18 @@ def test_mean_imports_no_numpy_and_prints_the_in_process_result(capsys, poly_fil
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert [m for m in imported_modules(proc.stderr) if m.startswith("numpy")] == []
+
+
+def test_mean_runs_where_numpy_cannot_be_imported(capsys, poly_file):
+    # the golden runs call ``main``; this runs the module entry point, argv and exit included
+    assert main(["mean", poly_file]) == 0
+    expected = capsys.readouterr().out
+    proc = run_fresh(
+        *without(["numpy"], "import runpy; runpy.run_module('weylreps.cli', run_name='__main__')"),
+        "mean", poly_file,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected and proc.stderr == ""
 
 
 def test_mean_and_verify_load_the_modules_they_compute_with(tmp_path, poly_file):
